@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -25,8 +24,6 @@ from .model import (
 )
 from .numdata import associated_data
 from .strata import CapExceeded
-
-JOBS_ENV = "LIMITCANON_JOBS"
 
 
 def qstr(x) -> str:
@@ -177,15 +174,9 @@ def _cmd_stratum(args) -> int:
     return 0
 
 
-def _jobs(args) -> int:
-    if getattr(args, "jobs", None):
-        return args.jobs
-    return int(os.environ.get(JOBS_ENV, "1"))
-
-
 def _cmd_enumerate(args) -> int:
     config = _config(args, args.delta)
-    found = strata.enumerate_strata(config, cap=args.cap, jobs=_jobs(args))
+    found = strata.enumerate_strata(config, cap=args.cap)
     obj = [stratum_obj(config, s) for s in found]
     if args.format == "text":
         lines = []
@@ -220,7 +211,7 @@ def _cmd_region(args) -> int:
 
 def _cmd_poset(args) -> int:
     config = _config(args, args.delta)
-    found = strata.enumerate_strata(config, cap=args.cap, jobs=_jobs(args))
+    found = strata.enumerate_strata(config, cap=args.cap)
     p = poset_mod.build_poset(config, strata=found)
     if args.format == "dot":
         _emit(args, poset_mod.to_dot(p))
@@ -244,7 +235,7 @@ def _cmd_poset(args) -> int:
 
 def _cmd_components(args) -> int:
     config = _config(args, args.delta)
-    found = strata.enumerate_strata(config, cap=args.cap, jobs=_jobs(args))
+    found = strata.enumerate_strata(config, cap=args.cap)
     p = poset_mod.build_poset(config, strata=found)
     comps = poset_mod.components(config, poset=p)
     formulas = poset_mod.count_formulas(config) if config.delta > 1 else None
@@ -306,9 +297,29 @@ def _cmd_weierstrass(args) -> int:
     return 0
 
 
-def _subspace_from_obj(obj) -> grassmann.Subspace:
-    basis = [[parse_q(x) for x in row] for row in obj["basis"]]
-    return grassmann.Subspace(basis, ambient=obj.get("ambient"))
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _subspace_from_obj(obj, name: str) -> grassmann.Subspace:
+    if not isinstance(obj, dict) or "basis" not in obj:
+        raise ValueError(f"{name} must be an object with a 'basis'")
+    rows = obj["basis"]
+    if not isinstance(rows, list) or not all(
+        isinstance(row, list) and all(isinstance(x, str) for x in row) for row in rows
+    ):
+        raise ValueError(f"{name} basis must be a list of rows of 'a/b' strings")
+    ambient = obj.get("ambient")
+    if ambient is not None and not _is_int(ambient):
+        raise ValueError(f"{name} ambient must be an integer")
+    return grassmann.Subspace([[parse_q(x) for x in row] for row in rows], ambient=ambient)
+
+
+def _labels_from_obj(payload, name: str) -> tuple:
+    labels = payload.get(name)
+    if not isinstance(labels, list) or not all(isinstance(l, str) or _is_int(l) for l in labels):
+        raise ValueError(f"{name} must be a list of node labels")
+    return tuple(labels)
 
 
 def _fingerprint_obj(fp):
@@ -330,13 +341,17 @@ def _cmd_orbit_closure(args) -> int:
     else:
         with open(args.input, "r", encoding="utf-8") as handle:
             payload = json.load(handle)
+    if not isinstance(payload, dict):
+        raise ValueError("the input must be a JSON object")
     if "V" in payload and "W" in payload:
-        V = _subspace_from_obj(payload["V"])
-        W = _subspace_from_obj(payload["W"])
-        I = tuple(payload["I"])
-        J = tuple(payload["J"])
-        at = int(payload.get("alpha_tilde", 1))
-        bt = int(payload.get("beta_tilde", 1))
+        V = _subspace_from_obj(payload["V"], "V")
+        W = _subspace_from_obj(payload["W"], "W")
+        I = _labels_from_obj(payload, "I")
+        J = _labels_from_obj(payload, "J")
+        at = payload.get("alpha_tilde", 1)
+        bt = payload.get("beta_tilde", 1)
+        if not (_is_int(at) and _is_int(bt)):
+            raise ValueError("alpha_tilde and beta_tilde must be integers")
         predicted = grassmann.pair_closure_orbit_set(V, W, at, bt, I, J)
         obj = {
             "mode": "pair",
@@ -353,7 +368,7 @@ def _cmd_orbit_closure(args) -> int:
                 "all_predicted_reached": predicted <= sampled,
             }
     else:
-        V = _subspace_from_obj(payload)
+        V = _subspace_from_obj(payload, "the input")
         predicted = grassmann.closure_orbit_set(V)
         obj = {
             "mode": "single",
@@ -439,7 +454,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, delta=True)
     p.add_argument("--format", choices=["json", "text"], default="json")
     p.add_argument("--cap", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=None)
     p.set_defaults(func=_cmd_enumerate)
 
     p = subs.add_parser("region", help="defining constraints of a stratum's weight region")
@@ -451,14 +465,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, delta=True)
     p.add_argument("--format", choices=["json", "dot"], default="json")
     p.add_argument("--cap", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=None)
     p.set_defaults(func=_cmd_poset)
 
     p = subs.add_parser("components", help="irreducible components and count formulas")
     _add_common(p, delta=True)
     p.add_argument("--format", choices=["json", "text"], default="json")
     p.add_argument("--cap", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=None)
     p.set_defaults(func=_cmd_components)
 
     p = subs.add_parser("weierstrass", help="limit Weierstrass divisor degrees")

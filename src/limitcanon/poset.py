@@ -24,9 +24,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd, lcm
+from math import comb, gcd
 
 from .model import CurveConfig
+from .numdata import _integer_scaled
 from .strata import StratumData, StratumKey, enumerate_strata, make_key, stratum_dim, stratum_key, stratum_of
 from .tripartitions import Tripartition, pair_compatible, tripartitions
 
@@ -91,11 +92,10 @@ class ClosurePoset:
         return lower in self.closure[upper]
 
     def maximal(self):
-        return [
-            k
-            for k in self.keys
-            if not any(o != k and k in self.closure[o] for o in self.keys)
-        ]
+        below = set()
+        for k in self.keys:
+            below |= self.closure[k] - {k}
+        return [k for k in self.keys if k not in below]
 
     def covering_edges(self):
         edges = []
@@ -166,11 +166,10 @@ def count_formulas(config: CurveConfig) -> dict:
 
 def _integral_witness(s: StratumData):
     """Scale the witness (and rho, sigma along with it) to integer entries."""
-    t = lcm(*(f.denominator for f in s.witness_mu)) if len(s.witness_mu) > 1 else s.witness_mu[0].denominator
-    mu = tuple(int(m * t) for m in s.witness_mu)
+    mu, t = _integer_scaled(s.witness_mu)
     rho = tuple(Fraction(r) * t for r in s.rho)
     sigma = tuple(Fraction(x) * t for x in s.sigma)
-    return mu, rho, sigma
+    return tuple(mu), rho, sigma
 
 
 def neighborhood_radius(s: StratumData):

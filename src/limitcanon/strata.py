@@ -16,12 +16,14 @@ rational system
     mu_p beta_p  = d for p in J,   mu_p beta_p  < d < mu_p (beta_p +1) else,
     mu > 0,
 
-has a solution.  Because the system decouples over the nodes once (c, d)
-are fixed, feasibility reduces to a single exact interval intersection in
-the ratio d/c; that reduction is used as a fast pre-filter, and
-Fourier-Motzkin elimination then certifies each survivor and extracts the
-strictly feasible witness (normalized so the last coordinate is 1).  The
-two deciders are played against each other in the test suite.
+has a solution.  Once the ratio r = d/c of the two levels is fixed, the
+system splits into separate conditions on each node, so feasibility is one
+exact intersection of open intervals in r, and a witness is written down
+directly: c = 1, d = r, mu_p pinned on the loci and the midpoint of its
+node's open interval elsewhere (normalized so the last coordinate is 1).
+A zero genus puts its side's level at 0, which leaves no condition on mu.
+Every witness is classified back onto its candidate.  The test suite keeps
+a Fourier-Motzkin solver of the joint system as an independent oracle.
 """
 
 from __future__ import annotations
@@ -29,10 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from math import gcd, lcm
-from multiprocessing import Pool
 
-from .fm import solve_homogeneous
 from .model import CurveConfig
 from .numdata import associated_data
 
@@ -93,11 +92,8 @@ def stratum_of(config: CurveConfig, mu) -> StratumData:
     sigma = tuple(m - r for m, r in zip(mu, data_y.rho))
     alpha_tilde = beta_tilde = None
     if config.g_x > 0 and config.g_y > 0:
-        t = lcm(*(f.denominator for f in mu)) if len(mu) > 1 else mu[0].denominator
-        c = int(data_x.level * t)
-        d = int(data_y.level * t)
-        g = gcd(c, d)
-        alpha_tilde, beta_tilde = c // g, d // g
+        ratio = data_x.level / data_y.level
+        alpha_tilde, beta_tilde = ratio.numerator, ratio.denominator
     return StratumData(
         alpha=data_x.alpha,
         I=data_x.I,
@@ -176,11 +172,17 @@ def _validate_candidate(config, alpha, I, beta, J):
     return alpha, I, beta, J
 
 
-def _ratio_feasible(delta, alpha, I, beta, J):
-    """Exact feasibility via the ratio d/c of the two levels.
+def _between(lo, hi):
+    """A point of the open interval (lo, hi); hi None means unbounded."""
+    return lo + 1 if hi is None else (lo + hi) / 2
 
-    Valid when both genera are positive (both levels are then positive and
-    the per-node constraints decouple into conditions on d/c alone).
+
+def _ratio(delta, alpha, I, beta, J):
+    """The ratio r = d/c of the two levels used by the witness, or None.
+
+    Intersects the open r-interval node by node.  Nodes in I & J pin r to
+    beta_p/alpha_p; otherwise r is the midpoint of the interval (lo + 1
+    when it has no upper bound).  Needs both genera positive.
     """
     lo = Fraction(0)
     hi = None
@@ -193,7 +195,7 @@ def _ratio_feasible(delta, alpha, I, beta, J):
             if pin is None:
                 pin = r
             elif pin != r:
-                return False
+                return None
         elif in_i:
             lo = max(lo, Fraction(b, a))
             top = Fraction(b + 1, a)
@@ -209,42 +211,46 @@ def _ratio_feasible(delta, alpha, I, beta, J):
                 top = Fraction(b + 1, a)
                 hi = top if hi is None else min(hi, top)
     if pin is not None:
-        return pin > lo and (hi is None or pin < hi)
-    return hi is None or lo < hi
+        return pin if pin > lo and (hi is None or pin < hi) else None
+    if hi is not None and lo >= hi:
+        return None
+    return _between(lo, hi)
 
 
-def _fm_witness(delta, alpha, I, beta, J):
-    """Build the joint strict system over mu and solve it exactly."""
-    equalities = []
-    inequalities = []
+def _witness(config: CurveConfig, alpha, I, beta, J):
+    """Closed-form witness of well-formed candidate data, or None.
 
-    def unit(p, value):
-        row = [0] * delta
-        row[p] = value
-        return row
+    The focus-X level is 1 and the focus-Y level is r (``_ratio``); a side
+    whose genus is zero has level 0 and puts no condition on mu.  Each
+    mu_p is then level/w_p on that side's locus, and off every locus the
+    midpoint of the interval where each side's level lies strictly between
+    mu_p w_p and mu_p (w_p + 1).  Normalized so the last coordinate is 1.
+    """
+    r = _ratio(config.delta, alpha, I, beta, J) if config.g_x and config.g_y else Fraction(1)
+    if r is None:
+        return None
+    sides = [
+        side
+        for genus, side in ((config.g_y, (Fraction(1), alpha, I)), (config.g_x, (r, beta, J)))
+        if genus
+    ]
+    mu = []
+    for p in range(config.delta):
+        pinned = [level / w[p] for level, w, locus in sides if p in locus]
+        if pinned:
+            mu.append(pinned[0])
+            continue
+        lo = max((level / (w[p] + 1) for level, w, _ in sides), default=Fraction(0))
+        hi = min((level / w[p] for level, w, _ in sides if w[p]), default=None)
+        mu.append(_between(lo, hi))
+    return tuple(m / mu[-1] for m in mu)
 
-    for members, weights in ((I, alpha), (J, beta)):
-        base = min(members)
-        for p in sorted(members):
-            if p != base:
-                row = [0] * delta
-                row[p] = weights[p]
-                row[base] = -weights[base]
-                equalities.append(row)
-        for p in range(delta):
-            if p in members:
-                continue
-            low = [0] * delta
-            low[base] = weights[base]
-            low[p] = -weights[p]
-            inequalities.append((low, True))  # level above mu_p * w_p
-            high = [0] * delta
-            high[p] = weights[p] + 1
-            high[base] = -weights[base]
-            inequalities.append((high, True))  # level below mu_p * (w_p + 1)
-    for p in range(delta):
-        inequalities.append((unit(p, 1), True))
-    return solve_homogeneous(delta, equalities, inequalities)
+
+def _classify_back(config: CurveConfig, witness, alpha, I, beta, J) -> StratumData:
+    data = stratum_of(config, witness)
+    if data.alpha != alpha or data.I != I or data.beta != beta or data.J != J:
+        raise AssertionError("witness classification does not match the candidate")
+    return data
 
 
 def realizable(config: CurveConfig, alpha, I, beta, J):
@@ -256,16 +262,9 @@ def realizable(config: CurveConfig, alpha, I, beta, J):
     coordinate is 1 and is guaranteed to classify back onto the candidate.
     """
     alpha, I, beta, J = _validate_candidate(config, alpha, I, beta, J)
-    if config.g_x > 0 and config.g_y > 0 and not _ratio_feasible(config.delta, alpha, I, beta, J):
-        return None
-    witness = _fm_witness(config.delta, alpha, I, beta, J)
-    if witness is None:
-        return None
-    base = witness[config.delta - 1]
-    witness = tuple(w / base for w in witness)
-    check = stratum_of(config, witness)
-    if check.alpha != alpha or check.I != I or check.beta != beta or check.J != J:
-        raise AssertionError("witness classification does not match the candidate")
+    witness = _witness(config, alpha, I, beta, J)
+    if witness is not None:
+        _classify_back(config, witness, alpha, I, beta, J)
     return witness
 
 
@@ -293,52 +292,26 @@ def _joint_candidates(config):
             yield alpha, I, beta, J
 
 
-def _realize_chunk(payload):
-    g_x, g_y, delta, chunk = payload
-    config = CurveConfig(g_x=g_x, g_y=g_y, delta=delta)
-    out = []
-    for alpha, I, beta, J in chunk:
-        witness = realizable(config, alpha, frozenset(I), beta, frozenset(J))
-        if witness is not None:
-            out.append(((alpha, I, beta, J), witness))
-    return out
-
-
 def enumerate_strata(config: CurveConfig, cap: int | None = None, jobs: int = 1):
     """One StratumData per distinct StratumKey, deterministically ordered.
 
     Every positive rational weight vector classifies onto exactly one of
     the returned keys.  The stored representative keeps the
-    lexicographically smallest witness found.
+    lexicographically smallest witness found.  More than ``cap``
+    realizable candidates raise CapExceeded.  ``jobs`` has no effect; it
+    is accepted so that existing callers keep working.
     """
     cap = DEFAULT_CAP if cap is None else cap
-    candidates = []
-    both_positive = config.g_x > 0 and config.g_y > 0
-    for alpha, I, beta, J in _joint_candidates(config):
-        if len(candidates) >= cap:
-            raise CapExceeded(f"candidate count exceeded the cap {cap}")
-        if both_positive and not _ratio_feasible(config.delta, alpha, I, beta, J):
-            continue
-        candidates.append((alpha, tuple(sorted(I)), beta, tuple(sorted(J))))
-
-    if jobs > 1 and len(candidates) > 64:
-        chunks = [candidates[i::jobs] for i in range(jobs)]
-        payloads = [(config.g_x, config.g_y, config.delta, chunk) for chunk in chunks]
-        with Pool(jobs) as pool:
-            results = pool.map(_realize_chunk, payloads)
-        found = dict(pair for chunk in results for pair in chunk)
-        realized = [(cand, found[cand]) for cand in candidates if cand in found]
-    else:
-        realized = []
-        for cand in candidates:
-            alpha, I, beta, J = cand
-            witness = realizable(config, alpha, frozenset(I), beta, frozenset(J))
-            if witness is not None:
-                realized.append((cand, witness))
-
+    passed = 0
     by_key: dict[StratumKey, StratumData] = {}
-    for _, witness in realized:
-        data = stratum_of(config, witness)
+    for alpha, I, beta, J in _joint_candidates(config):
+        if passed >= cap:
+            raise CapExceeded(f"candidate count exceeded the cap {cap}")
+        witness = _witness(config, alpha, I, beta, J)
+        if witness is None:
+            continue
+        passed += 1
+        data = _classify_back(config, witness, alpha, I, beta, J)
         key = stratum_key(config, data)
         old = by_key.get(key)
         if old is None or witness < old.witness_mu:

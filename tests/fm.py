@@ -1,5 +1,9 @@
 """Strict linear feasibility over Q by exact Fourier-Motzkin elimination.
 
+Test oracle: ``joint_witness`` decides realizability of stratum candidate
+data by elimination, independently of the closed-form witness in
+``limitcanon.strata``.
+
 Systems here are homogeneous: an equality row c means c.x = 0, an inequality
 row (c, strict) means c.x > 0 when strict else c.x >= 0.  Elimination is
 exact over the rationals and projection preserves strictness (combining a
@@ -178,3 +182,33 @@ def solve_homogeneous(nvars, equalities, inequalities):
         if sum(Fraction(c) * w for c, w in zip(coeffs, witness)) != 0:
             raise AssertionError("Fourier-Motzkin witness failed an equality")
     return tuple(witness)
+
+
+def joint_witness(delta, alpha, I, beta, J):
+    """Build the joint strict system of candidate data over mu and solve it."""
+    equalities = []
+    inequalities = []
+    for members, weights in ((I, alpha), (J, beta)):
+        base = min(members)
+        for p in sorted(members):
+            if p != base:
+                row = [0] * delta
+                row[p] = weights[p]
+                row[base] = -weights[base]
+                equalities.append(row)
+        for p in range(delta):
+            if p in members:
+                continue
+            low = [0] * delta
+            low[base] = weights[base]
+            low[p] = -weights[p]
+            inequalities.append((low, True))  # level above mu_p * w_p
+            high = [0] * delta
+            high[p] = weights[p] + 1
+            high[base] = -weights[base]
+            inequalities.append((high, True))  # level below mu_p * (w_p + 1)
+    for p in range(delta):
+        unit = [0] * delta
+        unit[p] = 1
+        inequalities.append((unit, True))
+    return solve_homogeneous(delta, equalities, inequalities)

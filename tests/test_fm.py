@@ -3,7 +3,7 @@
 import random
 from fractions import Fraction
 
-from limitcanon.fm import solve_homogeneous
+from fm import solve_homogeneous
 
 
 def check(nvars, eqs, ineqs):

@@ -6,12 +6,11 @@ from math import gcd
 
 import pytest
 
-from conftest import rand_mu
+from conftest import rand_config_triple, rand_mu
+from fm import joint_witness
 from limitcanon.model import CurveConfig
 from limitcanon.strata import (
     CapExceeded,
-    _fm_witness,
-    _ratio_feasible,
     enumerate_strata,
     realizable,
     region,
@@ -89,30 +88,38 @@ def test_realizable_rejects_malformed():
         realizable(cfg, (2, 2, 0), {0, 1}, (1, 1), {0, 1})  # wrong length
 
 
-def test_ratio_prefilter_matches_fm():
+def _random_side(rng, genus, delta):
+    """Random well-formed (weights, locus) for one focus, or None."""
+    if genus == 0:
+        return (0,) * delta, frozenset(range(delta))
+    weights = tuple(rng.randint(0, genus) for _ in range(delta))
+    support = [p for p in range(delta) if weights[p] > 0]
+    if not support:
+        return None
+    locus = frozenset(rng.sample(support, rng.randint(1, len(support))))
+    if not (genus <= sum(weights) < genus + len(locus)):
+        return None
+    return weights, locus
+
+
+def test_realizable_matches_fm_oracle():
     rng = random.Random(808)
-    checked = 0
-    for _ in range(4000):
-        delta = rng.randint(1, 3)
-        g_x, g_y = rng.randint(1, 3), rng.randint(1, 3)
+    outcomes = {}
+    for _ in range(6000):
+        g_x, g_y, delta = rand_config_triple(rng, max_delta=4, max_genus=3)
         cfg = CurveConfig(g_x=g_x, g_y=g_y, delta=delta)
-        alpha = tuple(rng.randint(0, g_y) for _ in range(delta))
-        beta = tuple(rng.randint(0, g_x) for _ in range(delta))
-        support_a = [p for p in range(delta) if alpha[p] > 0]
-        support_b = [p for p in range(delta) if beta[p] > 0]
-        if not support_a or not support_b:
+        side_x, side_y = _random_side(rng, g_y, delta), _random_side(rng, g_x, delta)
+        if side_x is None or side_y is None:
             continue
-        I = frozenset(rng.sample(support_a, rng.randint(1, len(support_a))))
-        J = frozenset(rng.sample(support_b, rng.randint(1, len(support_b))))
-        if not (g_y <= sum(alpha) < g_y + len(I)):
-            continue
-        if not (g_x <= sum(beta) < g_x + len(J)):
-            continue
-        fast = _ratio_feasible(delta, alpha, I, beta, J)
-        slow = _fm_witness(delta, alpha, I, beta, J) is not None
-        assert fast == slow
-        checked += 1
-    assert checked > 300
+        (alpha, I), (beta, J) = side_x, side_y
+        fast = realizable(cfg, alpha, I, beta, J) is not None
+        slow = joint_witness(delta, alpha, I, beta, J) is not None
+        assert fast == slow, (cfg, alpha, I, beta, J)
+        kind = "both" if g_x * g_y else "one-sided" if g_x + g_y else "zero"
+        outcomes[kind, fast] = outcomes.get((kind, fast), 0) + 1
+    assert outcomes["both", True] > 150 and outcomes["both", False] > 150
+    assert outcomes["one-sided", True] > 150
+    assert ("one-sided", False) not in outcomes
 
 
 def test_enumerate_zero_genera_single_stratum():
@@ -222,10 +229,3 @@ def test_cap_guard():
     cfg = CurveConfig(g_x=2, g_y=4, delta=3)
     with pytest.raises(CapExceeded):
         enumerate_strata(cfg, cap=10)
-
-
-def test_parallel_enumeration_matches_serial():
-    cfg = CurveConfig(g_x=1, g_y=2, delta=2)
-    serial = enumerate_strata(cfg)
-    parallel = enumerate_strata(cfg, jobs=2)
-    assert serial == parallel
