@@ -2,8 +2,9 @@
 
 Output is deterministic: fixed orderings everywhere, rationals rendered as
 "a/b" in lowest terms with positive denominator, never floats.  Exit codes:
-2 for flag errors (argparse), 3 for invalid or infeasible mathematical
-input, 4 when an enumeration cap is exceeded.
+2 for flag errors (argparse) and for an --input or --output file that
+cannot be opened, 3 for invalid or infeasible mathematical input, 4 when
+an enumeration cap is exceeded.
 """
 
 from __future__ import annotations
@@ -53,12 +54,23 @@ def _config(args, delta) -> CurveConfig:
     return CurveConfig(g_x=args.gx, g_y=args.gy, delta=delta, labels=_labels(args, delta))
 
 
+class _PathError(Exception):
+    """An --input or --output path that cannot be opened (exit 2)."""
+
+
+def _open(path: str, mode: str):
+    try:
+        return open(path, mode, encoding="utf-8")
+    except OSError as exc:
+        raise _PathError(f"can't open '{path}': {exc.strerror}") from exc
+
+
 def _emit(args, text: str) -> None:
     out = getattr(args, "output", "-") or "-"
     if out == "-":
         sys.stdout.write(text)
     else:
-        with open(out, "w", encoding="utf-8") as handle:
+        with _open(out, "w") as handle:
             handle.write(text)
 
 
@@ -339,7 +351,7 @@ def _cmd_orbit_closure(args) -> int:
     if args.input == "-":
         payload = json.load(sys.stdin)
     else:
-        with open(args.input, "r", encoding="utf-8") as handle:
+        with _open(args.input, "r") as handle:
             payload = json.load(handle)
     if not isinstance(payload, dict):
         raise ValueError("the input must be a JSON object")
@@ -499,6 +511,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except _PathError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4

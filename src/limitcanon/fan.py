@@ -8,7 +8,10 @@ classed by which of the two one-sided decompositions they saturate
 ("xmark" when the focus-X locus is full, "starmark" for focus-Y, "bothmark"
 for both, "crossmark" for neither); for delta = 3 the one-dimensional cells
 of the focus-X (resp. focus-Y) decomposition are drawn as solid (resp.
-dashed) segments.
+dashed) segments.  A cell has one free quantity on the chart, so its
+segment is written down in closed form: the level, when the last node is
+off the locus, or else the off-locus node within its node interval
+(``strata._node_interval``), clipped to the drawing box.
 
 All classification is exact; floating point appears only when rational
 chart coordinates are rendered to 12 significant digits for display.
@@ -18,7 +21,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from .model import CurveConfig
-from .strata import _side_candidates, enumerate_strata, stratum_dim, stratum_key
+from .strata import _node_interval, _side_candidates, enumerate_strata, stratum_dim, stratum_key
 
 __all__ = ["fan_data", "emit_fan_svg"]
 
@@ -47,85 +50,28 @@ def _marks(config, strata):
     return out
 
 
-def _side_line_cells(bound, delta):
-    """Focus-side data (weights, locus) whose chart image is a line: locus of
-    size 2 and total weight above the saturation bound."""
-    if bound == 0:
-        return
-    for weights, locus in _side_candidates(bound, delta):
-        if len(locus) == 2 and sum(weights) > bound:
-            yield weights, locus
+def _cell_segment(weights, locus, box):
+    """Endpoints of one chart line cell, clipped to the box, or None.
 
-
-def _form(p):
-    # linear form over (u0, u1, 1) picking the chart value of coordinate p
-    base = [Fraction(0)] * 3
-    base[p] = Fraction(1)
-    return tuple(base)
-
-
-def _scale(form, c):
-    return tuple(c * x for x in form)
-
-
-def _sub(a, b):
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def _cell_segment(weights, locus, delta, box):
-    """Endpoints of one chart line cell, clipped to the box, or None."""
-    p, q = sorted(locus)
-    eq = _sub(_scale(_form(p), weights[p]), _scale(_form(q), weights[q]))
-    level = _scale(_form(p), weights[p])
-    strict = []
-    for r in range(delta):
-        if r in locus:
-            continue
-        strict.append(_sub(level, _scale(_form(r), weights[r])))
-        strict.append(_sub(_scale(_form(r), weights[r] + 1), level))
-    strict.append(_form(0))
-    strict.append(_form(1))
-    weak = [
-        (Fraction(1), Fraction(0), Fraction(0)),
-        (Fraction(0), Fraction(1), Fraction(0)),
-        (Fraction(-1), Fraction(0), box),
-        (Fraction(0), Fraction(-1), box),
-    ]
-    e0, e1, e2 = eq
-    if e1 != 0:
-        point = (Fraction(0), -e2 / e1)
-    elif e0 != 0:
-        point = (-e2 / e0, Fraction(0))
-    else:
+    On the chart mu_3 = 1 (index 2) the cell has one free quantity.  With
+    node 3 off the locus it is the level c, in (w_3, w_3 + 1), and the locus
+    nodes sit at c/w_p.  Otherwise the level is w_3, the other locus node p
+    sits at w_3/w_p, and the off-locus node ranges over its node interval.
+    """
+    if 2 not in locus:
+        w0, w1, w2 = weights
+        top = min(Fraction(w2 + 1), box * w0, box * w1)
+        if w2 >= top:
+            return None
+        return tuple((Fraction(c) / w0, Fraction(c) / w1) for c in (w2, top))
+    p = min(locus)
+    fixed = Fraction(weights[2], weights[p])
+    lo, hi = _node_interval(weights[2], weights[1 - p])
+    hi = box if hi is None else min(hi, box)
+    if fixed > box or lo >= hi:
         return None
-    direction = (-e1, e0)
-    lo, hi = None, None
-    lo_strict = hi_strict = False
-    for form, is_strict in [(f, True) for f in strict] + [(f, False) for f in weak]:
-        slope = form[0] * direction[0] + form[1] * direction[1]
-        value = form[0] * point[0] + form[1] * point[1] + form[2]
-        if slope == 0:
-            if value < 0 or (is_strict and value == 0):
-                return None
-            continue
-        bound = -value / slope
-        if slope > 0:
-            if lo is None or bound > lo:
-                lo, lo_strict = bound, is_strict
-            elif bound == lo and is_strict:
-                lo_strict = True
-        else:
-            if hi is None or bound < hi:
-                hi, hi_strict = bound, is_strict
-            elif bound == hi and is_strict:
-                hi_strict = True
-    if lo is None or hi is None or lo > hi or (lo == hi and (lo_strict or hi_strict)):
-        return None
-    a = (point[0] + lo * direction[0], point[1] + lo * direction[1])
-    b = (point[0] + hi * direction[0], point[1] + hi * direction[1])
-    if a == b:
-        return None
-    return a, b
+    # endpoint order of the figure: u1 rising when p = 0, u0 falling when p = 1
+    return ((fixed, lo), (fixed, hi)) if p == 0 else ((hi, fixed), (lo, fixed))
 
 
 def fan_data(config: CurveConfig, strata=None) -> dict:
@@ -140,16 +86,14 @@ def fan_data(config: CurveConfig, strata=None) -> dict:
     coords = [c for m in marks for c in m[0]]
     box = max(coords) * Fraction(5, 4) + 1 if coords else Fraction(2)
     solid, dashed = [], []
-    for weights, locus in _side_line_cells(config.g_y, 3):
-        seg = _cell_segment(weights, locus, 3, box)
-        if seg:
-            solid.append(seg)
-    for weights, locus in _side_line_cells(config.g_x, 3):
-        seg = _cell_segment(weights, locus, 3, box)
-        if seg:
-            dashed.append(seg)
-    solid.sort()
-    dashed.sort()
+    for bound, segments in ((config.g_y, solid), (config.g_x, dashed)):
+        for weights, locus in _side_candidates(bound, 3):
+            # a locus of two nodes above the saturation bound is a line cell
+            if len(locus) == 2 and sum(weights) > bound:
+                seg = _cell_segment(weights, locus, box)
+                if seg:
+                    segments.append(seg)
+        segments.sort()
     return {"delta": 3, "marks": marks, "solid": solid, "dashed": dashed, "box": box}
 
 

@@ -104,9 +104,6 @@ class PlueckerVector:
     def subsets(self):
         return list(combinations(range(self.ambient), self.dim))
 
-    def coord(self, cols) -> Fraction:
-        return dict(zip(self.subsets(), self.coords))[tuple(cols)]
-
     def support(self):
         return tuple(b for b, c in zip(self.subsets(), self.coords) if c != 0)
 
@@ -190,21 +187,31 @@ def tripartition_degenerate(V: Subspace, tri: Tripartition) -> Subspace:
     return Subspace(reduced, ambient=n)
 
 
+def _limit_support(pv: PlueckerVector, exps):
+    """The support of the limit under exponents exps: the nonzero
+    coordinates of minimal weight sum(exps[i] for i in b)."""
+    subsets = pv.subsets()
+    weights = [sum(exps[i] for i in b) for b in subsets]
+    floor = min(w for w, c in zip(weights, pv.coords) if c != 0)
+    return tuple(b for b, w, c in zip(subsets, weights, pv.coords) if c != 0 and w == floor)
+
+
+def _masked(pv: PlueckerVector, supp) -> PlueckerVector:
+    """pv with every coordinate outside supp set to zero."""
+    coords = tuple(c if b in supp else Fraction(0) for b, c in zip(pv.subsets(), pv.coords))
+    return PlueckerVector(pv.ambient, pv.dim, coords)
+
+
 def limit_pluecker(V: Subspace, psg: OnePSG) -> PlueckerVector:
     """Pluecker coordinates of the limit of psg(r) . V as r goes to 0."""
     pv = pluecker(V)
     if len(psg.exponents) != V.ambient:
         raise ValueError("one-parameter subgroup size must match the ambient")
-    subsets = pv.subsets()
-    weights = [sum(psg.exponents[i] for i in b) for b in subsets]
-    live = [w for w, c in zip(weights, pv.coords) if c != 0]
-    floor = min(live)
-    out = []
-    for b, w, c in zip(subsets, weights, pv.coords):
-        if c != 0 and w == floor:
-            out.append(c * power_product(psg.scalars, [1 if i in b else 0 for i in range(V.ambient)]))
-        else:
-            out.append(Fraction(0))
+    supp = _limit_support(pv, psg.exponents)
+    out = [
+        c * power_product(psg.scalars, _vec(b, V.ambient)) if b in supp else Fraction(0)
+        for b, c in zip(pv.subsets(), pv.coords)
+    ]
     scale = next(v for v in out if v != 0)
     return PlueckerVector(V.ambient, V.dim, tuple(v / scale for v in out))
 
@@ -223,21 +230,36 @@ def _vec(cols, n):
     return tuple(1 if i in cols else 0 for i in range(n))
 
 
+def _characters(pv: PlueckerVector, width: int, offset: int = 0, reference=None):
+    """Torus characters and coordinate ratios of pv's support.
+
+    Each support member b after the first, base, gives the exponent
+    difference e_b - e_base (placed at ``offset`` in a row of ``width``
+    entries) and the ratio pv_b / pv_base, divided by the same ratio of
+    ``reference`` when one is given.
+    """
+    live = [(b, c) for b, c in zip(pv.subsets(), pv.coords) if c != 0]
+    (base, base_c), rest = live[0], live[1:]
+    ref = None if reference is None else dict(zip(reference.subsets(), reference.coords))
+    chars, values = [], []
+    for b, c in rest:
+        row = [0] * width
+        for i in b:
+            row[offset + i] += 1
+        for i in base:
+            row[offset + i] -= 1
+        chars.append(tuple(row))
+        values.append(c / base_c if ref is None else (c / base_c) / (ref[b] / ref[base]))
+    return chars, values
+
+
 def orbit_fingerprint(pv: PlueckerVector) -> OrbitFingerprint:
     """Support pattern plus canonical torus-invariant cross-ratios."""
-    supp = pv.support()
-    base = supp[0]
-    n = pv.ambient
-    chars = []
-    values = []
-    base_val = pv.coord(base)
-    for b in supp[1:]:
-        chars.append(tuple(x - y for x, y in zip(_vec(b, n), _vec(base, n))))
-        values.append(pv.coord(b) / base_val)
+    chars, values = _characters(pv, pv.ambient)
     invariants = tuple(
         power_product(values, rel) for rel in relation_lattice(chars)
     )
-    return OrbitFingerprint(supp, invariants)
+    return OrbitFingerprint(pv.support(), invariants)
 
 
 def _require_general_position(pv: PlueckerVector):
@@ -245,26 +267,29 @@ def _require_general_position(pv: PlueckerVector):
         raise ValueError("all Pluecker coordinates must be nonzero")
 
 
+def _qualifying(n: int, h: int):
+    """Tripartitions of range(n) with |first| < h <= n - |last|."""
+    return [t for t in tripartitions(range(n)) if len(t.first) < h <= n - len(t.last)]
+
+
 def closure_orbit_set(V: Subspace):
     """Fingerprints of every orbit in the closure of the torus orbit of V."""
     _desk_guard(V.ambient, V.dim)
-    pv = pluecker(V)
-    _require_general_position(pv)
-    h, n = V.dim, V.ambient
-    out = set()
-    for tri in tripartitions(range(n)):
-        if len(tri.first) < h <= n - len(tri.last):
-            out.add(orbit_fingerprint(pluecker(tripartition_degenerate(V, tri))))
-    return frozenset(out)
+    _require_general_position(pluecker(V))
+    return frozenset(
+        orbit_fingerprint(pluecker(tripartition_degenerate(V, tri)))
+        for tri in _qualifying(V.ambient, V.dim)
+    )
 
 
-def _interval_pattern(supp, n, h):
-    lower = frozenset.intersection(*(frozenset(b) for b in supp))
-    upper = frozenset.union(*(frozenset(b) for b in supp))
-    expected = [
-        b for b in combinations(range(n), h) if lower <= frozenset(b) <= upper
-    ]
-    return set(supp) == set(expected), lower, frozenset(range(n)) - upper
+def _support_parts(supp, n: int):
+    """The tripartition of range(n) into coordinates in every support member,
+    in some and in none; and whether the support is that whole interval,
+    every subset of its size containing the first part and missing the last."""
+    members = [frozenset(b) for b in supp]
+    low, high = frozenset.intersection(*members), frozenset.union(*members)
+    spanned = [b for b in combinations(sorted(high), len(supp[0])) if low <= frozenset(b)]
+    return Tripartition(low, high - low, frozenset(range(n)) - high), set(supp) == set(spanned)
 
 
 def in_closure(W: Subspace, V: Subspace) -> bool:
@@ -274,17 +299,9 @@ def in_closure(W: Subspace, V: Subspace) -> bool:
     pv = pluecker(V)
     _require_general_position(pv)
     qw = pluecker(W)
-    supp = qw.support()
-    ok, _, _ = _interval_pattern(supp, W.ambient, W.dim)
-    if not ok:
+    if not _support_parts(qw.support(), W.ambient)[1]:
         return False
-    base = supp[0]
-    n = W.ambient
-    chars, values = [], []
-    for b in supp[1:]:
-        chars.append(tuple(x - y for x, y in zip(_vec(b, n), _vec(base, n))))
-        values.append((qw.coord(b) * pv.coord(base)) / (pv.coord(b) * qw.coord(base)))
-    return monomial_system_solvable(chars, values)
+    return monomial_system_solvable(*_characters(qw, W.ambient, reference=pv))
 
 
 def brute_force_closure_fingerprints(V: Subspace, bound: int = 3):
@@ -296,24 +313,11 @@ def brute_force_closure_fingerprints(V: Subspace, bound: int = 3):
     """
     _desk_guard(V.ambient, V.dim)
     pv = pluecker(V)
-    subsets = pv.subsets()
-    supports = set()
-    for exps in product(range(-bound, bound + 1), repeat=V.ambient):
-        weights = [sum(exps[i] for i in b) for b in subsets]
-        live = [w for w, c in zip(weights, pv.coords) if c != 0]
-        floor = min(live)
-        supports.add(
-            tuple(
-                b
-                for b, w, c in zip(subsets, weights, pv.coords)
-                if c != 0 and w == floor
-            )
-        )
-    out = set()
-    for supp in supports:
-        masked = tuple(c if b in supp else Fraction(0) for b, c in zip(subsets, pv.coords))
-        out.add(orbit_fingerprint(PlueckerVector(V.ambient, V.dim, masked)))
-    return frozenset(out)
+    supports = {
+        _limit_support(pv, exps)
+        for exps in product(range(-bound, bound + 1), repeat=V.ambient)
+    }
+    return frozenset(orbit_fingerprint(_masked(pv, supp)) for supp in supports)
 
 
 def satisfies_orbit_quadrics(point: PlueckerVector, reference: PlueckerVector) -> bool:
@@ -365,27 +369,16 @@ def _torus_lattice(lam, tau, I, J, shared, pos_i, pos_j):
     return gens
 
 
+def _pair_characters(pv, qw, ni, nj, refs=(None, None)):
+    """``_characters`` of pv (on the first ni entries) and of qw (on the
+    next nj), stacked."""
+    chars_v, values_v = _characters(pv, ni + nj, 0, refs[0])
+    chars_w, values_w = _characters(qw, ni + nj, ni, refs[1])
+    return chars_v + chars_w, values_v + values_w
+
+
 def _pair_fingerprint_from(pv, qw, lam, tau, I, J, shared, pos_i, pos_j):
-    ni, nj = len(I), len(J)
-    supp_v, supp_w = pv.support(), qw.support()
-    chars, values = [], []
-    b0, c0 = supp_v[0], supp_w[0]
-    for b in supp_v[1:]:
-        row = [0] * (ni + nj)
-        for i in b:
-            row[i] += 1
-        for i in b0:
-            row[i] -= 1
-        chars.append(tuple(row))
-        values.append(pv.coord(b) / pv.coord(b0))
-    for c in supp_w[1:]:
-        row = [0] * (ni + nj)
-        for j in c:
-            row[ni + j] += 1
-        for j in c0:
-            row[ni + j] -= 1
-        chars.append(tuple(row))
-        values.append(qw.coord(c) / qw.coord(c0))
+    chars, values = _pair_characters(pv, qw, len(I), len(J))
     torus = _torus_lattice(lam, tau, I, J, shared, pos_i, pos_j)
     stacked = chars + torus
     k = len(chars)
@@ -395,16 +388,23 @@ def _pair_fingerprint_from(pv, qw, lam, tau, I, J, shared, pos_i, pos_j):
     else:
         basis = []
     invariants = tuple(power_product(values, rel) for rel in basis)
-    return PairFingerprint(supp_v, supp_w, invariants)
+    return PairFingerprint(pv.support(), qw.support(), invariants)
 
 
-def _check_pair_args(V, W, alpha_tilde, beta_tilde, I, J):
+def _pair_setup(V, W, alpha_tilde, beta_tilde, I, J):
+    """Check the arguments of a coupled pair; return the Pluecker vectors of
+    V and W (both in general position) and the label data of ``_pair_spaces``."""
     if len(I) != V.ambient or len(J) != W.ambient:
         raise ValueError("label tuples must match the ambient sizes")
     if alpha_tilde < 1 or beta_tilde < 1:
         raise ValueError("the coupling exponents must be positive integers")
     _desk_guard(V.ambient, V.dim)
     _desk_guard(W.ambient, W.dim)
+    spaces = _pair_spaces(I, J)
+    pv, qw = pluecker(V), pluecker(W)
+    _require_general_position(pv)
+    _require_general_position(qw)
+    return (pv, qw) + spaces
 
 
 def _labelled(tri: Tripartition, labels):
@@ -415,38 +415,27 @@ def _labelled(tri: Tripartition, labels):
     )
 
 
+def _compatible_pairs(V: Subspace, W: Subspace, I, J):
+    """Qualifying tripartition pairs of (V, W) whose labelled versions are
+    ``pair_compatible``, in a deterministic order."""
+    tris_w = _qualifying(W.ambient, W.dim)
+    for ti in _qualifying(V.ambient, V.dim):
+        for tj in tris_w:
+            if pair_compatible(_labelled(ti, I), _labelled(tj, J), set(I), set(J)):
+                yield ti, tj
+
+
 def pair_closure_orbit_set(V: Subspace, W: Subspace, alpha_tilde: int, beta_tilde: int, I, J):
     """Fingerprints of all orbit pairs in the closure of the coupled orbit."""
-    _check_pair_args(V, W, alpha_tilde, beta_tilde, I, J)
-    lam, tau = alpha_tilde, beta_tilde
-    I, J, shared, pos_i, pos_j = _pair_spaces(I, J)
-    pv, qw = pluecker(V), pluecker(W)
-    _require_general_position(pv)
-    _require_general_position(qw)
-    h1, h2 = V.dim, W.dim
-    out = set()
-    for ti in tripartitions(range(V.ambient)):
-        if not (len(ti.first) < h1 <= V.ambient - len(ti.last)):
-            continue
-        for tj in tripartitions(range(W.ambient)):
-            if not (len(tj.first) < h2 <= W.ambient - len(tj.last)):
-                continue
-            if not pair_compatible(_labelled(ti, I), _labelled(tj, J), set(I), set(J)):
-                continue
-            vd = tripartition_degenerate(V, ti)
-            wd = tripartition_degenerate(W, tj)
-            out.add(
-                _pair_fingerprint_from(
-                    pluecker(vd), pluecker(wd), lam, tau, I, J, shared, pos_i, pos_j
-                )
-            )
-    return frozenset(out)
-
-
-def _nu_parts(supp, n):
-    lower = frozenset.intersection(*(frozenset(b) for b in supp))
-    upper = frozenset.union(*(frozenset(b) for b in supp))
-    return lower, frozenset(range(n)) - upper
+    _, _, I, J, shared, pos_i, pos_j = _pair_setup(V, W, alpha_tilde, beta_tilde, I, J)
+    return frozenset(
+        _pair_fingerprint_from(
+            pluecker(tripartition_degenerate(V, ti)),
+            pluecker(tripartition_degenerate(W, tj)),
+            alpha_tilde, beta_tilde, I, J, shared, pos_i, pos_j,
+        )
+        for ti, tj in _compatible_pairs(V, W, I, J)
+    )
 
 
 def in_pair_closure(nu, reference, alpha_tilde: int, beta_tilde: int, I, J) -> bool:
@@ -454,66 +443,32 @@ def in_pair_closure(nu, reference, alpha_tilde: int, beta_tilde: int, I, J) -> b
     reference = (V1, V2)."""
     W1, W2 = nu
     V1, V2 = reference
-    _check_pair_args(V1, V2, alpha_tilde, beta_tilde, I, J)
+    pv1, pv2, I, J, shared, pos_i, pos_j = _pair_setup(V1, V2, alpha_tilde, beta_tilde, I, J)
     if W1.ambient != V1.ambient or W2.ambient != V2.ambient:
         raise ValueError("ambient sizes must match")
     if W1.dim != V1.dim or W2.dim != V2.dim:
         raise ValueError("dimensions must match")
-    lam, tau = alpha_tilde, beta_tilde
-    I, J, shared, pos_i, pos_j = _pair_spaces(I, J)
-    pv1, pv2 = pluecker(V1), pluecker(V2)
-    _require_general_position(pv1)
-    _require_general_position(pv2)
     q1, q2 = pluecker(W1), pluecker(W2)
-    ok1, i_low, i_high = _interval_pattern(q1.support(), W1.ambient, W1.dim)
-    ok2, j_low, j_high = _interval_pattern(q2.support(), W2.ambient, W2.dim)
+    tri_i, ok1 = _support_parts(q1.support(), W1.ambient)
+    tri_j, ok2 = _support_parts(q2.support(), W2.ambient)
     if not ok1 or not ok2:
         return False
-    tri_i = _labelled(
-        Tripartition(i_low, frozenset(range(W1.ambient)) - i_low - i_high, i_high), I
-    )
-    tri_j = _labelled(
-        Tripartition(j_low, frozenset(range(W2.ambient)) - j_low - j_high, j_high), J
-    )
+    tri_i, tri_j = _labelled(tri_i, I), _labelled(tri_j, J)
     if not pair_compatible(tri_i, tri_j, set(I), set(J)):
         return False
-    ni, nj = len(I), len(J)
-    chars, values = [], []
-    supp1, supp2 = q1.support(), q2.support()
-    b0, c0 = supp1[0], supp2[0]
-    for b in supp1[1:]:
-        row = [0] * (ni + nj)
-        for i in b:
-            row[i] += 1
-        for i in b0:
-            row[i] -= 1
-        chars.append(tuple(row))
-        values.append((q1.coord(b) * pv1.coord(b0)) / (pv1.coord(b) * q1.coord(b0)))
-    for c in supp2[1:]:
-        row = [0] * (ni + nj)
-        for j in c:
-            row[ni + j] += 1
-        for j in c0:
-            row[ni + j] -= 1
-        chars.append(tuple(row))
-        values.append((q2.coord(c) * pv2.coord(c0)) / (pv2.coord(c) * q2.coord(c0)))
-    middle_shared = sorted(
-        (set(tri_i.middle) & set(tri_j.middle)) & set(shared)
-    )
-    torus = _torus_lattice(lam, tau, I, J, middle_shared, pos_i, pos_j)
+    chars, values = _pair_characters(q1, q2, len(I), len(J), (pv1, pv2))
+    middle_shared = sorted(tri_i.middle & tri_j.middle & set(shared))
+    torus = _torus_lattice(alpha_tilde, beta_tilde, I, J, middle_shared, pos_i, pos_j)
     return monomial_system_solvable(chars, values, torus)
 
 
 def _pair_recipe_cochar(supp_v, supp_w, lam, tau, I, J, nV, nW):
     """A coupling 1-PSG whose limit of the reference pair has the given
     supports; follows the three-case construction on the support parts."""
-    i_low, i_high = _nu_parts(supp_v, nV)
-    j_low, j_high = _nu_parts(supp_w, nW)
-    i_mid = frozenset(range(nV)) - i_low - i_high
-    j_mid = frozenset(range(nW)) - j_low - j_high
-    lab = lambda part, labels: frozenset(labels[p] for p in part)
-    I1, I2, I3 = lab(i_low, I), lab(i_mid, I), lab(i_high, I)
-    J1, J2, J3 = lab(j_low, J), lab(j_mid, J), lab(j_high, J)
+    ti = _labelled(_support_parts(supp_v, nV)[0], I)
+    tj = _labelled(_support_parts(supp_w, nW)[0], J)
+    I1, I2, I3 = ti.first, ti.middle, ti.last
+    J1, J2, J3 = tj.first, tj.middle, tj.last
     shared = set(I) & set(J)
     u = {l: 0 for l in I}
     v = {l: 0 for l in J}
@@ -560,16 +515,6 @@ def _pair_recipe_cochar(supp_v, supp_w, lam, tau, I, J, nV, nW):
     )
 
 
-def _limit_support(pv, exps):
-    subsets = pv.subsets()
-    weights = [sum(exps[i] for i in b) for b in subsets]
-    live = [w for w, c in zip(weights, pv.coords) if c != 0]
-    floor = min(live)
-    return tuple(
-        b for b, w, c in zip(subsets, weights, pv.coords) if c != 0 and w == floor
-    )
-
-
 def pair_brute_force_fingerprints(
     V: Subspace, W: Subspace, alpha_tilde: int, beta_tilde: int, I, J, include_recipes=True
 ):
@@ -580,12 +525,8 @@ def pair_brute_force_fingerprints(
     tripartition pair are included so that every predicted boundary orbit is
     reached by at least one sample.
     """
-    _check_pair_args(V, W, alpha_tilde, beta_tilde, I, J)
+    pv, qw, I, J, shared, pos_i, pos_j = _pair_setup(V, W, alpha_tilde, beta_tilde, I, J)
     lam, tau = alpha_tilde, beta_tilde
-    I, J, shared, pos_i, pos_j = _pair_spaces(I, J)
-    pv, qw = pluecker(V), pluecker(W)
-    _require_general_position(pv)
-    _require_general_position(qw)
     ni, nj = len(I), len(J)
     free_i = [k for k, l in enumerate(I) if l not in shared]
     free_j = [k for k, l in enumerate(J) if l not in shared]
@@ -623,40 +564,14 @@ def pair_brute_force_fingerprints(
                 register(uexps, vexps)
 
     if include_recipes:
-        h1, h2 = V.dim, W.dim
-        for ti in tripartitions(range(ni)):
-            if not (len(ti.first) < h1 <= ni - len(ti.last)):
-                continue
-            for tj in tripartitions(range(nj)):
-                if not (len(tj.first) < h2 <= nj - len(tj.last)):
-                    continue
-                if not pair_compatible(_labelled(ti, I), _labelled(tj, J), set(I), set(J)):
-                    continue
-                sv = pluecker(tripartition_degenerate(V, ti)).support()
-                sw = pluecker(tripartition_degenerate(W, tj)).support()
-                u, v = _pair_recipe_cochar(sv, sw, lam, tau, I, J, ni, nj)
-                register(u, v)
+        for ti, tj in _compatible_pairs(V, W, I, J):
+            sv = pluecker(tripartition_degenerate(V, ti)).support()
+            sw = pluecker(tripartition_degenerate(W, tj)).support()
+            register(*_pair_recipe_cochar(sv, sw, lam, tau, I, J, ni, nj))
 
-    subsets_v, subsets_w = pv.subsets(), qw.subsets()
-    out = set()
-    for supp_v, supp_w in support_pairs:
-        masked_v = tuple(
-            c if b in supp_v else Fraction(0) for b, c in zip(subsets_v, pv.coords)
+    return frozenset(
+        _pair_fingerprint_from(
+            _masked(pv, supp_v), _masked(qw, supp_w), lam, tau, I, J, shared, pos_i, pos_j
         )
-        masked_w = tuple(
-            c if b in supp_w else Fraction(0) for b, c in zip(subsets_w, qw.coords)
-        )
-        out.add(
-            _pair_fingerprint_from(
-                PlueckerVector(ni, V.dim, masked_v),
-                PlueckerVector(nj, W.dim, masked_w),
-                lam,
-                tau,
-                I,
-                J,
-                shared,
-                pos_i,
-                pos_j,
-            )
-        )
-    return frozenset(out)
+        for supp_v, supp_w in support_pairs
+    )

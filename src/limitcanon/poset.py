@@ -98,13 +98,17 @@ class ClosurePoset:
         return [k for k in self.keys if k not in below]
 
     def covering_edges(self):
-        edges = []
-        for a in self.keys:
-            below = self.closure[a] - {a}
-            for b in sorted(below, key=StratumKey.sort_token):
-                if not any(c != b and b in self.closure[c] for c in below):
-                    edges.append((a, b))
-        return edges
+        """Pairs (a, b) with b in the closure of a and one dimension lower.
+
+        Closures are graded by dimension (the stratification is pure), so
+        these are exactly the covering pairs.
+        """
+        return [
+            (a, b)
+            for a in self.keys
+            for b in sorted(self.closure[a], key=StratumKey.sort_token)
+            if self.dims[b] == self.dims[a] - 1
+        ]
 
 
 def build_poset(config: CurveConfig, strata=None, cap=None) -> ClosurePoset:

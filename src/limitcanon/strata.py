@@ -21,6 +21,8 @@ system splits into separate conditions on each node, so feasibility is one
 exact intersection of open intervals in r, and a witness is written down
 directly: c = 1, d = r, mu_p pinned on the loci and the midpoint of its
 node's open interval elsewhere (normalized so the last coordinate is 1).
+Off a side's locus that interval is ``_node_interval(level, w_p)``,
+level/(w_p+1) < mu_p < level/w_p; the fan figure reads the same interval.
 A zero genus puts its side's level at 0, which leaves no condition on mu.
 Every witness is classified back onto its candidate.  The test suite keeps
 a Fourier-Motzkin solver of the joint system as an independent oracle.
@@ -177,6 +179,16 @@ def _between(lo, hi):
     return lo + 1 if hi is None else (lo + hi) / 2
 
 
+def _node_interval(level, w):
+    """Open interval of mu_p off the locus: level/(w+1) < mu_p < level/w.
+
+    The node's weight w puts the level strictly between mu_p w and
+    mu_p (w + 1); with w = 0 there is no upper end (None).
+    """
+    level = Fraction(level)
+    return level / (w + 1), (level / w if w else None)
+
+
 def _ratio(delta, alpha, I, beta, J):
     """The ratio r = d/c of the two levels used by the witness, or None.
 
@@ -223,8 +235,8 @@ def _witness(config: CurveConfig, alpha, I, beta, J):
     The focus-X level is 1 and the focus-Y level is r (``_ratio``); a side
     whose genus is zero has level 0 and puts no condition on mu.  Each
     mu_p is then level/w_p on that side's locus, and off every locus the
-    midpoint of the interval where each side's level lies strictly between
-    mu_p w_p and mu_p (w_p + 1).  Normalized so the last coordinate is 1.
+    midpoint of the intersection of both sides' node intervals
+    (``_node_interval``).  Normalized so the last coordinate is 1.
     """
     r = _ratio(config.delta, alpha, I, beta, J) if config.g_x and config.g_y else Fraction(1)
     if r is None:
@@ -240,8 +252,9 @@ def _witness(config: CurveConfig, alpha, I, beta, J):
         if pinned:
             mu.append(pinned[0])
             continue
-        lo = max((level / (w[p] + 1) for level, w, _ in sides), default=Fraction(0))
-        hi = min((level / w[p] for level, w, _ in sides if w[p]), default=None)
+        ends = [_node_interval(level, w[p]) for level, w, _ in sides]
+        lo = max((low for low, _ in ends), default=Fraction(0))
+        hi = min((high for _, high in ends if high is not None), default=None)
         mu.append(_between(lo, hi))
     return tuple(m / mu[-1] for m in mu)
 
@@ -287,9 +300,10 @@ def _side_candidates(bound, delta):
 
 
 def _joint_candidates(config):
-    for alpha, I in _side_candidates(config.g_y, config.delta):
-        for beta, J in _side_candidates(config.g_x, config.delta):
-            yield alpha, I, beta, J
+    """Every (alpha, I, beta, J), focus-X data major; each side's list is built once."""
+    outer = _side_candidates(config.g_y, config.delta)
+    inner = _side_candidates(config.g_x, config.delta)
+    return ((alpha, I, beta, J) for (alpha, I), (beta, J) in product(outer, inner))
 
 
 def enumerate_strata(config: CurveConfig, cap: int | None = None, jobs: int = 1):

@@ -184,35 +184,47 @@ def test_orbit_closure_rejects_malformed_payload(tmp_path, capsys, payload):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
-# sha256 of the stdout of poset (json, dot), components and fan (json).
-# Keys, closures, components and fan marks do not depend on which witness
-# represents a stratum, so these stay fixed when witnesses change.
+# sha256 of the stdout of poset (json, dot), components, fan (json, svg)
+# and region (at GOLDEN_MU).  Keys, closures, components, fan marks and
+# cells, and region rows do not depend on which witness represents a
+# stratum, so these stay fixed when witnesses change.
 GOLDEN = {
     (2, 4, 3): (
         "cd718c33ca88bdfde3c7f52ae878a97687a29e0beada083e0088ba3928433fb2",
         "4a40e7928b1eec6a4e477c21510a8bf57a2f6bcb9f87ffbd44deb91f80a2efed",
         "cf35998d184ebae9c275ffa4d360d8da8e7e5c9d3d7733fe0509b3f6919e3090",
         "d3070be0a62476a9e1dc0d95de7c52aa490c06450ad57226f71ae37b2776cb31",
+        "fca224ab676601b09c2f0b192e0e94cce622184bea2df55271cee02a260953e2",
+        "7666505ebafa2e52df0f7875ecfbd5c9ae42ca8b69dd55bb37654223f358649b",
     ),
     (3, 3, 3): (
         "08aa4efd921734ef16ad4e4698e6defebbfe1514a6012fca5c8487b34db691ac",
         "7a8273e0c9700d98a1edfdf161a95c749a15ec93d7c32cade9b5d6ad5aa1bc6a",
         "f91a269a87b3f06f989237f361a806efcf184d034e14fd78bdfdc10a8a12f508",
         "c92c236a2b222c6c239d916f2d2f60da875ca2b4254a6367064d7b6d2294f4e7",
+        "044acc14b7190520c3a5df487aef3c41fa8a3adafcdc637d683a91da96bb4802",
+        "86b754ddb8c72f46ca1fdbce5077f06046eef6ed77b7ca28b71a3c21a47b1a84",
     ),
     (0, 5, 3): (
         "28313f12a29fa3ef57a3f6d73c3986593b9a53d631640a67d320ac88ab58a19a",
         "32ca978600d6c2220a04d121a1594bba740d4685bb095c1268030d1e3f64a571",
         "bf2b34619d19186c29e2dd79e735f16d20410fe2e0531acc6d9f16bf14aa5926",
         "71885b348dbf2130a33b4cbb9826206fee61ebcd6d974a5bd73e885a1db4fca5",
+        "0f6321a50780f8d8c7176c359d43c5be6949ca233c80d1f7541c15593122c6fa",
+        "1ec4c19b0431c0f5105f1e89cfe66e9d434446c7db9e95444ad019532b7a2e58",
     ),
     (1, 3, 2): (
         "33decd0f42b417a1efda7b340b2d5e30ed1ffd8e5769a7bade664328d64d03f6",
         "4ae0d4aeeca6bdcca9b6619f9c22df93ba23fe14fffd0410e48283749f3aea49",
         "57bd86418c7d55a3847cbd7a0957eef767fb8bde9fc465513f75f24e26aa1e1c",
         "d835cdd4f9c801506720ba17c1814d9e65fcae8a52e6d2968b4ab8f8a7430693",
+        "f09b05ec82ea6b5c3e49ba10543d12948dac4394f0debed284c5b5bf37cac808",
+        "81b1cbc83af28f5bf4e355a35fe4b3c7d6d7706d27c4268068a9d6dc5f61d70d",
     ),
 }
+
+
+GOLDEN_MU = {2: "2,3", 3: "2,3,5"}
 
 
 @pytest.mark.parametrize("triple", sorted(GOLDEN))
@@ -224,12 +236,45 @@ def test_golden_outputs(capsys, triple):
         ["poset", *base, "--format", "dot"],
         ["components", *base],
         ["fan", *base, "--format", "json"],
+        ["fan", *base, "--format", "svg"],
+        ["region", "--gx", str(g_x), "--gy", str(g_y), "--mu", GOLDEN_MU[delta]],
     )
+    assert len(commands) == len(GOLDEN[triple])
     for argv, digest in zip(commands, GOLDEN[triple]):
         code, out, _ = run_cli(capsys, argv)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
 
+
+# sha256 of `orbit-closure --brute-force` on the README's single subspace
+# and on a coupled pair sharing two nodes.
+GOLDEN_ORBIT = {
+    "single": (
+        {"basis": [["1", "0", "2", "3"], ["0", "1", "5", "7"]]},
+        "b1624f7ddb33dc89330cafc0504ac938e7dd9d88b4934cc698ff8c6e4eac35fc",
+    ),
+    "pair": (
+        {
+            "V": {"basis": [["1", "2", "-1"], ["0", "3", "4"]]},
+            "W": {"basis": [["2", "-3"]]},
+            "I": ["p", "q", "r"],
+            "J": ["q", "r"],
+            "alpha_tilde": 2,
+            "beta_tilde": 1,
+        },
+        "5c638af03c0e02abc545cd82749e2cabce08e0c51f75b8304e68e235a3cc7e4a",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_ORBIT))
+def test_golden_orbit_closure(tmp_path, capsys, name):
+    payload, digest = GOLDEN_ORBIT[name]
+    path = tmp_path / "payload.json"
+    path.write_text(json.dumps(payload))
+    code, out, _ = run_cli(capsys, ["orbit-closure", "--input", str(path), "--brute-force"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 def test_exit_code_flag_error():
     with pytest.raises(SystemExit) as err:
@@ -272,3 +317,17 @@ def test_output_file(tmp_path, capsys):
     )
     assert code == 0 and out == ""
     assert json.loads(target.read_text())["alpha"] == [0, 0]
+
+
+@pytest.mark.parametrize("case", ["missing input", "input is a directory", "output dir missing"])
+def test_unopenable_file_exits_2(tmp_path, capsys, case):
+    if case == "missing input":
+        argv = ["orbit-closure", "--input", str(tmp_path / "missing.json")]
+    elif case == "input is a directory":
+        argv = ["orbit-closure", "--input", str(tmp_path)]
+    else:
+        target = tmp_path / "missing" / "out.json"
+        argv = ["stratum", "--gx", "0", "--gy", "0", "--mu", "1,1", "--output", str(target)]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: can't open ") and err.count("\n") == 1

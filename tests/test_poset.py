@@ -3,6 +3,7 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -18,7 +19,8 @@ from limitcanon.poset import (
     neighborhood_sample_check,
     to_dot,
 )
-from limitcanon.strata import enumerate_strata, make_key, stratum_key, stratum_of
+from limitcanon.strata import StratumKey, enumerate_strata, make_key, stratum_key, stratum_of
+from limitcanon.tripartitions import pair_compatible, tripartitions
 
 
 def _poset(g_x, g_y, delta):
@@ -176,3 +178,53 @@ def test_dot_export():
     dot = to_dot(p)
     assert dot.startswith("digraph strata {")
     assert dot.count("->") == len(p.covering_edges())
+
+
+def _scan_covering_edges(p):
+    """Oracle: b covers a when no third member of a's closure lies above b."""
+    edges = []
+    for a in p.keys:
+        below = p.closure[a] - {a}
+        for b in sorted(below, key=StratumKey.sort_token):
+            if not any(c != b and b in p.closure[c] for c in below):
+                edges.append((a, b))
+    return edges
+
+
+def test_covering_edges_match_scan():
+    triples = [(g_x, g_y, d) for d in (2, 3) for g_x in range(5) for g_y in range(5)]
+    triples += [(2, 2, 4), (1, 3, 4), (0, 3, 4)]
+    edges = 0
+    for g_x, g_y, delta in triples:
+        _, _, p = _poset(g_x, g_y, delta)
+        fast = p.covering_edges()
+        assert fast == _scan_covering_edges(p), (g_x, g_y, delta)
+        edges += len(fast)
+    assert edges == 3128
+
+
+def _coupling_case(ti, tj, I, J):
+    """Whether the shared nodes follow one of the three coupling patterns
+    behind ``poset._case_direction`` and ``grassmann._pair_recipe_cochar``."""
+    i1, i2, i3 = ti.first, ti.middle, ti.last
+    j1, j2, j3 = tj.first, tj.middle, tj.last
+    patterns = (
+        (i1 & j1) | (i2 & j2) | (i3 & j3),
+        (i1 & j1) | (i2 & j1) | (i3 & j1) | (i3 & j2) | (i3 & j3),
+        (i1 & j1) | (i1 & j2) | (i1 & j3) | (i2 & j3) | (i3 & j3),
+    )
+    return (I & J) in patterns
+
+
+def test_pair_compatible_iff_coupling_case():
+    universe = range(4)
+    sided = [
+        (frozenset(I), tri)
+        for size in range(1, 5)
+        for I in combinations(universe, size)
+        for tri in tripartitions(I)
+    ]
+    assert len(sided) == 255
+    for I, ti in sided:
+        for J, tj in sided:
+            assert pair_compatible(ti, tj, I, J) == _coupling_case(ti, tj, I, J), (ti, tj)
