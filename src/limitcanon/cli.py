@@ -2,9 +2,14 @@
 
 Output is deterministic: fixed orderings everywhere, rationals rendered as
 "a/b" in lowest terms with positive denominator, never floats.  Exit codes:
-2 for flag errors (argparse) and for an --input or --output file that
-cannot be opened, 3 for invalid or infeasible mathematical input, 4 when
-an enumeration cap is exceeded.
+2 for flag errors (argparse, and a negative --cap) and for an --input or
+--output file that cannot be opened, 3 for invalid or infeasible
+mathematical input, 4 when an enumeration cap is exceeded.
+
+``--cap N`` (enumerate, poset, components) counts the realizable
+candidates (alpha, I, beta, J) the stratum search finds, before they are
+merged into strata; the run stops with exit 4 as soon as it finds more
+than N, so the cap bounds the work.
 """
 
 from __future__ import annotations
@@ -509,6 +514,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "cap", None) is not None and args.cap < 0:
+        print(f"error: --cap must be non-negative, got {args.cap}", file=sys.stderr)
+        return 2
     try:
         return args.func(args)
     except _PathError as exc:

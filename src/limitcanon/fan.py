@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from .model import CurveConfig
-from .strata import _node_interval, _side_candidates, enumerate_strata, stratum_dim, stratum_key
+from .strata import _node_interval, _search, enumerate_strata, stratum_dim, stratum_key
 
 __all__ = ["fan_data", "emit_fan_svg"]
 
@@ -87,7 +87,8 @@ def fan_data(config: CurveConfig, strata=None) -> dict:
     box = max(coords) * Fraction(5, 4) + 1 if coords else Fraction(2)
     solid, dashed = [], []
     for bound, segments in ((config.g_y, solid), (config.g_x, dashed)):
-        for weights, locus in _side_candidates(bound, 3):
+        # one side's (weights, locus) pairs: the search with the other genus 0
+        for weights, locus, *_ in _search(CurveConfig(g_x=0, g_y=bound, delta=3)):
             # a locus of two nodes above the saturation bound is a line cell
             if len(locus) == 2 and sum(weights) > bound:
                 seg = _cell_segment(weights, locus, box)

@@ -17,22 +17,22 @@ rational system
     mu > 0,
 
 has a solution.  Once the ratio r = d/c of the two levels is fixed, the
-system splits into separate conditions on each node, so feasibility is one
-exact intersection of open intervals in r, and a witness is written down
-directly: c = 1, d = r, mu_p pinned on the loci and the midpoint of its
-node's open interval elsewhere (normalized so the last coordinate is 1).
-Off a side's locus that interval is ``_node_interval(level, w_p)``,
-level/(w_p+1) < mu_p < level/w_p; the fan figure reads the same interval.
-A zero genus puts its side's level at 0, which leaves no condition on mu.
-Every witness is classified back onto its candidate.  The test suite keeps
-a Fourier-Motzkin solver of the joint system as an independent oracle.
+system splits into one condition per node, so one depth-first search over
+the nodes (``_search``) finds every realizable candidate with a feasible
+r, and its witness is written down directly: c = 1, d = r, mu_p pinned on
+the loci and the midpoint of its node interval ``_node_interval(level,
+w_p)``, level/(w_p+1) < mu_p < level/w_p, elsewhere (normalized so the
+last coordinate is 1); the fan figure reads the same interval.  A zero
+genus puts its side's level at 0, which leaves no condition on mu.  Every
+witness is classified back onto its candidate.  The test suite keeps a
+Fourier-Motzkin solver of the joint system and a brute-force candidate
+product as independent oracles.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
 
 from .model import CurveConfig
 from .numdata import associated_data
@@ -189,63 +189,96 @@ def _node_interval(level, w):
     return level / (w + 1), (level / w if w else None)
 
 
-def _ratio(delta, alpha, I, beta, J):
-    """The ratio r = d/c of the two levels used by the witness, or None.
+def _reachable(genus, total, size, left):
+    """Whether a side's window genus <= total < genus + size can still hold.
 
-    Intersects the open r-interval node by node.  Nodes in I & J pin r to
-    beta_p/alpha_p; otherwise r is the midpoint of the interval (lo + 1
-    when it has no upper bound).  Needs both genera positive.
+    Each of the ``left`` nodes to come adds at most ``genus`` to the total
+    and joins the locus when positive, so total - size never falls.
     """
-    lo = Fraction(0)
-    hi = None
-    pin = None
-    for p in range(delta):
-        a, b = alpha[p], beta[p]
-        in_i, in_j = p in I, p in J
-        if in_i and in_j:
-            r = Fraction(b, a)
-            if pin is None:
-                pin = r
-            elif pin != r:
-                return None
-        elif in_i:
-            lo = max(lo, Fraction(b, a))
-            top = Fraction(b + 1, a)
+    return total - size < genus <= total + genus * left
+
+
+def _narrow(state, a, in_i, b, in_j):
+    """Intersect node p's condition on r = d/c into (lo, hi, pin); None once empty.
+
+    With c = 1 and d = r, mu_p is 1/a on I, else in (1/(a+1), 1/a), and
+    r/b on J, else in (r/(b+1), r/b).  Eliminating mu_p pins r to b/a on
+    I & J; otherwise r lies above b/a on I (else b/(a+1)) and below b/a on
+    J (else (b+1)/a), with no upper end when a = 0.
+    """
+    lo, hi, pin = state
+    if in_i and in_j:
+        if pin is not None and pin != Fraction(b, a):
+            return None
+        pin = Fraction(b, a)
+    else:
+        lo = max(lo, Fraction(b, a if in_i else a + 1))
+        if a:
+            top = Fraction(b if in_j else b + 1, a)
             hi = top if hi is None else min(hi, top)
-        elif in_j:
-            lo = max(lo, Fraction(b, a + 1))
-            if a > 0:
-                top = Fraction(b, a)
-                hi = top if hi is None else min(hi, top)
-        else:
-            lo = max(lo, Fraction(b, a + 1))
-            if a > 0:
-                top = Fraction(b + 1, a)
-                hi = top if hi is None else min(hi, top)
     if pin is not None:
-        return pin if pin > lo and (hi is None or pin < hi) else None
-    if hi is not None and lo >= hi:
-        return None
-    return _between(lo, hi)
+        return (lo, hi, pin) if lo < pin and (hi is None or pin < hi) else None
+    return (lo, hi, pin) if hi is None or lo < hi else None
 
 
-def _witness(config: CurveConfig, alpha, I, beta, J):
-    """Closed-form witness of well-formed candidate data, or None.
+def _search(config: CurveConfig, fixed=None):
+    """Depth-first search over the nodes for every realizable candidate.
 
-    The focus-X level is 1 and the focus-Y level is r (``_ratio``); a side
-    whose genus is zero has level 0 and puts no condition on mu.  Each
-    mu_p is then level/w_p on that side's locus, and off every locus the
-    midpoint of the intersection of both sides' node intervals
-    (``_node_interval``).  Normalized so the last coordinate is 1.
+    Yields (alpha, I, beta, J, r).  At node p it chooses (alpha_p, p in I),
+    then (beta_p, p in J), skipping a weight that can no longer reach its
+    side's window (``_reachable``); with both genera positive it narrows
+    the r-interval (``_narrow``) and prunes once it is empty.  r is the
+    pin, else the midpoint of the interval (lo + 1 when unbounded, so 1
+    when a genus is zero).  ``fixed`` = (alpha, I, beta, J) restricts
+    every node to that candidate's choice.
     """
-    r = _ratio(config.delta, alpha, I, beta, J) if config.g_x and config.g_y else Fraction(1)
-    if r is None:
-        return None
-    sides = [
-        side
-        for genus, side in ((config.g_y, (Fraction(1), alpha, I)), (config.g_x, (r, beta, J)))
-        if genus
-    ]
+    delta, joint = config.delta, config.g_x > 0 and config.g_y > 0
+
+    def choices(genus, given, p):
+        if given is not None:
+            return ((given[0][p], p in given[1]),)
+        if genus == 0:
+            return ((0, True),)
+        return ((0, False),) + tuple((w, on) for w in range(1, genus + 1) for on in (False, True))
+
+    sides = ((config.g_y, fixed and fixed[:2]), (config.g_x, fixed and fixed[2:]))
+    options = [tuple(choices(genus, given, p) for genus, given in sides) for p in range(delta)]
+
+    def descend(alpha, I, sum_a, beta, J, sum_b, state):
+        p = len(alpha)
+        if p == delta:
+            lo, hi, pin = state
+            yield alpha, frozenset(I), beta, frozenset(J), _between(lo, hi) if pin is None else pin
+            return
+        left = delta - 1 - p
+        for a, in_i in options[p][0]:
+            locus_i = I + (p,) if in_i else I
+            if not _reachable(config.g_y, sum_a + a, len(locus_i), left):
+                continue
+            for b, in_j in options[p][1]:
+                locus_j = J + (p,) if in_j else J
+                if not _reachable(config.g_x, sum_b + b, len(locus_j), left):
+                    continue
+                narrowed = _narrow(state, a, in_i, b, in_j) if joint else state
+                if narrowed is not None:
+                    yield from descend(
+                        alpha + (a,), locus_i, sum_a + a, beta + (b,), locus_j, sum_b + b, narrowed
+                    )
+
+    return descend((), (), 0, (), (), 0, (Fraction(0), None, None))
+
+
+def _witness(config: CurveConfig, alpha, I, beta, J, r):
+    """Closed-form witness of a candidate the search yielded with ratio r.
+
+    The focus-X level is 1 and the focus-Y level is r; a side whose genus
+    is zero has level 0 and puts no condition on mu.  Each mu_p is then
+    level/w_p on that side's locus, and off every locus the midpoint of
+    the intersection of both sides' node intervals (``_node_interval``).
+    Normalized so the last coordinate is 1.
+    """
+    both = ((config.g_y, Fraction(1), alpha, I), (config.g_x, r, beta, J))
+    sides = [side[1:] for side in both if side[0]]
     mu = []
     for p in range(config.delta):
         pinned = [level / w[p] for level, w, locus in sides if p in locus]
@@ -270,61 +303,39 @@ def realizable(config: CurveConfig, alpha, I, beta, J):
     """Witness weight vector realizing the candidate data, or None.
 
     Malformed candidates (bounds violated, empty loci, zero entries where
-    positivity is forced) raise ValueError; well-formed but unrealizable
-    candidates return None.  A returned witness is normalized so its last
-    coordinate is 1 and is guaranteed to classify back onto the candidate.
+    positivity is forced) raise ValueError.  A well-formed candidate is
+    realizable when the node search, each node fixed to the candidate's
+    choice, reaches a leaf; otherwise the result is None.  A returned
+    witness is normalized so its last coordinate is 1 and is guaranteed to
+    classify back onto the candidate.
     """
     alpha, I, beta, J = _validate_candidate(config, alpha, I, beta, J)
-    witness = _witness(config, alpha, I, beta, J)
-    if witness is not None:
+    for found in _search(config, (alpha, I, beta, J)):
+        witness = _witness(config, *found)
         _classify_back(config, witness, alpha, I, beta, J)
-    return witness
-
-
-def _side_candidates(bound, delta):
-    """All (weights, locus) pairs for one focus: entries in [0, bound],
-    bound <= total < bound + |locus|, positive on the locus when bound > 0."""
-    if bound == 0:
-        return [((0,) * delta, frozenset(range(delta)))]
-    out = []
-    for weights in product(range(bound + 1), repeat=delta):
-        total = sum(weights)
-        if not (bound <= total <= bound + delta - 1):
-            continue
-        support = [p for p in range(delta) if weights[p] > 0]
-        min_size = total - bound + 1
-        for size in range(max(1, min_size), len(support) + 1):
-            for locus in combinations(support, size):
-                out.append((weights, frozenset(locus)))
-    return out
-
-
-def _joint_candidates(config):
-    """Every (alpha, I, beta, J), focus-X data major; each side's list is built once."""
-    outer = _side_candidates(config.g_y, config.delta)
-    inner = _side_candidates(config.g_x, config.delta)
-    return ((alpha, I, beta, J) for (alpha, I), (beta, J) in product(outer, inner))
+        return witness
+    return None
 
 
 def enumerate_strata(config: CurveConfig, cap: int | None = None, jobs: int = 1):
     """One StratumData per distinct StratumKey, deterministically ordered.
 
-    Every positive rational weight vector classifies onto exactly one of
-    the returned keys.  The stored representative keeps the
-    lexicographically smallest witness found.  More than ``cap``
-    realizable candidates raise CapExceeded.  ``jobs`` has no effect; it
-    is accepted so that existing callers keep working.
+    Every realizable candidate comes from one lazy node search
+    (``_search``), gets its witness from the ratio the search found, and
+    is classified back.  Every positive rational weight vector classifies
+    onto exactly one of the returned keys.  The stored representative
+    keeps the lexicographically smallest witness found, so the result does
+    not depend on the search order.  More than ``cap`` realizable
+    candidates raise CapExceeded as soon as the search finds one too many,
+    so the cap bounds the work done.  ``jobs`` has no effect; it is
+    accepted so that existing callers keep working.
     """
     cap = DEFAULT_CAP if cap is None else cap
-    passed = 0
     by_key: dict[StratumKey, StratumData] = {}
-    for alpha, I, beta, J in _joint_candidates(config):
-        if passed >= cap:
+    for passed, (alpha, I, beta, J, r) in enumerate(_search(config), 1):
+        if passed > cap:
             raise CapExceeded(f"candidate count exceeded the cap {cap}")
-        witness = _witness(config, alpha, I, beta, J)
-        if witness is None:
-            continue
-        passed += 1
+        witness = _witness(config, alpha, I, beta, J, r)
         data = _classify_back(config, witness, alpha, I, beta, J)
         key = stratum_key(config, data)
         old = by_key.get(key)
@@ -357,6 +368,14 @@ class RegionDescription:
         return all(c.holds(mu) for c in self.constraints)
 
 
+def _row(delta, relation, *terms):
+    """The constraint with coefficient c at node p for each (p, c) in terms."""
+    coeffs = [0] * delta
+    for p, c in terms:
+        coeffs[p] += c
+    return Constraint(tuple(coeffs), relation)
+
+
 def _side_region(delta, weights, members, full_locus):
     """Constraints pinning one side's data.
 
@@ -364,46 +383,23 @@ def _side_region(delta, weights, members, full_locus):
     region fixes both the weights and the locus; at the minimum total the
     regions for all loci merge, leaving only the two-sided strict bounds.
     """
-    rows = []
-    if full_locus:
-        base = min(members)
-        for p in sorted(members):
-            if p != base:
-                row = [0] * delta
-                row[p] = weights[p]
-                row[base] = -weights[base]
-                rows.append(Constraint(tuple(row), "eq"))
-        for p in range(delta):
-            if p in members:
-                continue
-            low = [0] * delta
-            low[base] = weights[base]
-            low[p] = -weights[p]
-            rows.append(Constraint(tuple(low), "gt"))
-            high = [0] * delta
-            high[p] = weights[p] + 1
-            high[base] = -weights[base]
-            rows.append(Constraint(tuple(high), "gt"))
-    else:
-        for p in range(delta):
-            for q in range(delta):
-                if p == q:
-                    continue
-                row = [0] * delta
-                row[q] += weights[q] + 1
-                row[p] -= weights[p]
-                rows.append(Constraint(tuple(row), "gt"))
+    w = weights
+    if not full_locus:
+        pairs = ((p, q) for p in range(delta) for q in range(delta) if p != q)
+        return [_row(delta, "gt", (q, w[q] + 1), (p, -w[p])) for p, q in pairs]
+    base = min(members)
+    rows = [_row(delta, "eq", (p, w[p]), (base, -w[base])) for p in sorted(members) if p != base]
+    for p in range(delta):
+        if p not in members:
+            rows.append(_row(delta, "gt", (base, w[base]), (p, -w[p])))
+            rows.append(_row(delta, "gt", (p, w[p] + 1), (base, -w[base])))
     return rows
 
 
 def region(config: CurveConfig, s: StratumData) -> RegionDescription:
     """Exact linear description of all mu classifying onto s's stratum."""
     delta = config.delta
-    rows = []
-    for p in range(delta):
-        unit = [0] * delta
-        unit[p] = 1
-        rows.append(Constraint(tuple(unit), "gt"))
+    rows = [_row(delta, "gt", (p, 1)) for p in range(delta)]
     rows.extend(_side_region(delta, s.alpha, s.I, s.alpha_total > config.g_y))
     rows.extend(_side_region(delta, s.beta, s.J, s.beta_total > config.g_x))
     return RegionDescription(

@@ -184,12 +184,12 @@ def test_orbit_closure_rejects_malformed_payload(tmp_path, capsys, payload):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
-# sha256 of the stdout of poset (json, dot), components, fan (json, svg)
-# and region (at GOLDEN_MU).  Keys, closures, components, fan marks and
-# cells, and region rows do not depend on which witness represents a
-# stratum, so these stay fixed when witnesses change.
+# sha256 of the stdout of enumerate (json), poset (json, dot), components,
+# fan (json, svg; delta 2 and 3 only) and region (at GOLDEN_MU).  enumerate
+# pins the representative witnesses as well as the keys.
 GOLDEN = {
     (2, 4, 3): (
+        "a2ff6e2e00c3ce4015453aeb98ef89209fab9f7cee4940c3d3df390632bcc568",
         "cd718c33ca88bdfde3c7f52ae878a97687a29e0beada083e0088ba3928433fb2",
         "4a40e7928b1eec6a4e477c21510a8bf57a2f6bcb9f87ffbd44deb91f80a2efed",
         "cf35998d184ebae9c275ffa4d360d8da8e7e5c9d3d7733fe0509b3f6919e3090",
@@ -198,6 +198,7 @@ GOLDEN = {
         "7666505ebafa2e52df0f7875ecfbd5c9ae42ca8b69dd55bb37654223f358649b",
     ),
     (3, 3, 3): (
+        "41c302d6e89ec8025c9e4cbc8c048b30ae23a9fc9be2c63c175f8ab14f5aa95a",
         "08aa4efd921734ef16ad4e4698e6defebbfe1514a6012fca5c8487b34db691ac",
         "7a8273e0c9700d98a1edfdf161a95c749a15ec93d7c32cade9b5d6ad5aa1bc6a",
         "f91a269a87b3f06f989237f361a806efcf184d034e14fd78bdfdc10a8a12f508",
@@ -206,6 +207,7 @@ GOLDEN = {
         "86b754ddb8c72f46ca1fdbce5077f06046eef6ed77b7ca28b71a3c21a47b1a84",
     ),
     (0, 5, 3): (
+        "3840d84ff99b544bee7012c6a0e0d452e4e9100985838654586a6819e6ea85e2",
         "28313f12a29fa3ef57a3f6d73c3986593b9a53d631640a67d320ac88ab58a19a",
         "32ca978600d6c2220a04d121a1594bba740d4685bb095c1268030d1e3f64a571",
         "bf2b34619d19186c29e2dd79e735f16d20410fe2e0531acc6d9f16bf14aa5926",
@@ -214,6 +216,7 @@ GOLDEN = {
         "1ec4c19b0431c0f5105f1e89cfe66e9d434446c7db9e95444ad019532b7a2e58",
     ),
     (1, 3, 2): (
+        "7a140c61a07ea29e26ce0397be444afb6f3c0875fd52bc1e58bbe595d4c48d98",
         "33decd0f42b417a1efda7b340b2d5e30ed1ffd8e5769a7bade664328d64d03f6",
         "4ae0d4aeeca6bdcca9b6619f9c22df93ba23fe14fffd0410e48283749f3aea49",
         "57bd86418c7d55a3847cbd7a0957eef767fb8bde9fc465513f75f24e26aa1e1c",
@@ -221,24 +224,32 @@ GOLDEN = {
         "f09b05ec82ea6b5c3e49ba10543d12948dac4394f0debed284c5b5bf37cac808",
         "81b1cbc83af28f5bf4e355a35fe4b3c7d6d7706d27c4268068a9d6dc5f61d70d",
     ),
+    (1, 3, 4): (
+        "901676b53ce0dfca6156e5f3df0bec71cf0112b819fbbe2d7a01cf87e4fb6274",
+        "cf803efbf13682add1819e1a090e51ad6242de1aa78784745a2106d279af0540",
+        "17dcf78b1082e232dad2b7a0e8549e649b3a30ec4828c1ad7a7143e22c538355",
+        "5d8472a562f1e70abee75bdbd67db1fd99bdf504a32e413076aa0261b78d40eb",
+        "8c1c73f21db2e3ae93737fcd6f040a3af13b39bab988e75de26a6f7546ec2209",
+    ),
 }
 
 
-GOLDEN_MU = {2: "2,3", 3: "2,3,5"}
+GOLDEN_MU = {2: "2,3", 3: "2,3,5", 4: "2,3,5,7"}
 
 
 @pytest.mark.parametrize("triple", sorted(GOLDEN))
 def test_golden_outputs(capsys, triple):
     g_x, g_y, delta = triple
     base = ["--gx", str(g_x), "--gy", str(g_y), "--delta", str(delta)]
-    commands = (
+    commands = [
+        ["enumerate", *base, "--format", "json"],
         ["poset", *base, "--format", "json"],
         ["poset", *base, "--format", "dot"],
         ["components", *base],
-        ["fan", *base, "--format", "json"],
-        ["fan", *base, "--format", "svg"],
-        ["region", "--gx", str(g_x), "--gy", str(g_y), "--mu", GOLDEN_MU[delta]],
-    )
+    ]
+    if delta in (2, 3):
+        commands += [["fan", *base, "--format", "json"], ["fan", *base, "--format", "svg"]]
+    commands.append(["region", "--gx", str(g_x), "--gy", str(g_y), "--mu", GOLDEN_MU[delta]])
     assert len(commands) == len(GOLDEN[triple])
     for argv, digest in zip(commands, GOLDEN[triple]):
         code, out, _ = run_cli(capsys, argv)
@@ -295,6 +306,14 @@ def test_exit_code_cap(capsys):
         ["enumerate", "--gx", "2", "--gy", "4", "--delta", "3", "--cap", "5"],
     )
     assert code == 4
+
+
+@pytest.mark.parametrize("command", ["enumerate", "poset", "components"])
+def test_negative_cap_is_flag_error(capsys, command):
+    argv = [command, "--gx", "2", "--gy", "4", "--delta", "3", "--cap", "-3"]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: --cap ") and err.count("\n") == 1
 
 
 def test_text_formats(capsys):

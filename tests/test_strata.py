@@ -1,7 +1,9 @@
 """Tests for stratum classification, realizability, enumeration, regions."""
 
 import random
+import time
 from fractions import Fraction
+from itertools import combinations, product
 from math import gcd
 
 import pytest
@@ -11,6 +13,8 @@ from fm import joint_witness
 from limitcanon.model import CurveConfig
 from limitcanon.strata import (
     CapExceeded,
+    _search,
+    _witness,
     enumerate_strata,
     realizable,
     region,
@@ -225,7 +229,49 @@ def test_enumerate_witnesses_reproduce_fields():
         assert again == s
 
 
-def test_cap_guard():
-    cfg = CurveConfig(g_x=2, g_y=4, delta=3)
+@pytest.mark.parametrize(
+    "triple, cap",
+    [((2, 4, 3), 10), ((12, 12, 5), 1), ((20, 20, 8), 10)],
+    ids=["2-4-3-cap10", "12-12-5-cap1", "20-20-8-cap10"],
+)
+def test_cap_guard(triple, cap):
+    # the cap bounds the work: large configs stop as soon as it is passed
+    start = time.process_time()
     with pytest.raises(CapExceeded):
-        enumerate_strata(cfg, cap=10)
+        enumerate_strata(CurveConfig(*triple), cap=cap)
+    assert time.process_time() - start < 0.25
+
+
+def _brute_side(genus, delta):
+    """Every well-formed (weights, locus) of one focus, by brute force."""
+    if genus == 0:
+        return [((0,) * delta, frozenset(range(delta)))]
+    out = []
+    for weights in product(range(genus + 1), repeat=delta):
+        support = [p for p in range(delta) if weights[p]]
+        for size in range(1, len(support) + 1):
+            if genus <= sum(weights) < genus + size:
+                out.extend((weights, frozenset(locus)) for locus in combinations(support, size))
+    return out
+
+
+ORACLE_CONFIGS = [(g_x, g_y, d) for d in (2, 3) for g_x in range(4) for g_y in range(4)]
+ORACLE_CONFIGS += [(1, 1, 4), (1, 2, 4)]
+
+
+def test_search_matches_brute_force_fm_oracle():
+    # the search yields exactly the well-formed candidates that Fourier-Motzkin
+    # finds realizable, each once, with a ratio whose witness classifies back
+    for g_x, g_y, delta in ORACLE_CONFIGS:
+        cfg = CurveConfig(g_x=g_x, g_y=g_y, delta=delta)
+        expected = {
+            (alpha, I, beta, J)
+            for (alpha, I), (beta, J) in product(_brute_side(g_y, delta), _brute_side(g_x, delta))
+            if joint_witness(delta, alpha, I, beta, J) is not None
+        }
+        found = list(_search(cfg))
+        assert len({f[:4] for f in found}) == len(found), cfg
+        assert {f[:4] for f in found} == expected, cfg
+        for alpha, I, beta, J, r in found:
+            s = stratum_of(cfg, _witness(cfg, alpha, I, beta, J, r))
+            assert (s.alpha, s.I, s.beta, s.J) == (alpha, I, beta, J)
