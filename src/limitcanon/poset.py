@@ -10,9 +10,15 @@ describe the admissible degenerations of the focus-X data (the middle
 becomes the new equality locus and the correction numbers drop by one on
 the last part), the mirror condition governs the focus-Y side, and when
 both genera are positive the pair of tripartitions must satisfy the two
-implications of ``tripartitions.pair_compatible``.  Sampling weight vectors
-in an explicit neighborhood of a witness provides an independent check and
-never enters the production path.
+implications of ``tripartitions.pair_compatible``.  Those implications read
+the two tripartitions only through their traces on the shared nodes I & J,
+so ``closure_of`` works one side at a time: it groups each side's
+degenerations by that trace and takes the closure as a union of products
+of per-side key sets, one product per compatible pair of traces.  The
+pairwise enumeration survives in ``direction_probes``, which builds a
+perturbation for every compatible pair.  Sampling weight vectors in an
+explicit neighborhood of a witness provides an independent check and never
+enters the production path.
 
 Irreducible components are counted as the maximal strata of the closure
 poset; strata are pairwise disjoint and each is irreducible, so maximal
@@ -24,6 +30,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from math import comb, gcd
 
 from .model import CurveConfig
@@ -58,25 +65,50 @@ def _drop_on(weights, part):
     return tuple(w - 1 if p in part else w for p, w in enumerate(weights))
 
 
+def _side_moves(members, weights, genus_target, shared):
+    """One focus's part of every admissible degeneration, grouped by trace.
+
+    Walks the tripartitions (first, middle, last) of ``members`` in the
+    window of ``_admissible`` by part size, and writes the side's share of
+    the key once per (last, middle): the weights minus one on ``last`` and
+    the locus ``middle`` (``None`` when the new total is down to the
+    other genus, as in ``make_key``).  Returns one pair per trace of a
+    tripartition on ``shared``: the trace, and the set of side keys of
+    the tripartitions that have it.
+    """
+    total = sum(weights)
+    groups = {}
+    for n_last in range(min(total - genus_target, len(members)) + 1):
+        saturated = total - n_last <= genus_target
+        for last in map(frozenset, combinations(members, n_last)):
+            dropped = _drop_on(weights, last)
+            rest = members - last
+            for n_first in range(genus_target + len(members) - total):
+                for first in map(frozenset, combinations(rest, n_first)):
+                    side = (dropped, None if saturated else rest - first)
+                    groups.setdefault((first & shared, last & shared), set()).add(side)
+    return [(Tripartition(f, shared - f - l, l), keys) for (f, l), keys in groups.items()]
+
+
 def closure_of(config: CurveConfig, s: StratumData) -> frozenset:
-    """Keys of every stratum contained in the closure of s (including s)."""
-    x_tris = _admissible(s.I, s.alpha, config.g_y)
-    y_tris = _admissible(s.J, s.beta, config.g_x)
-    need_compat = config.g_x > 0 and config.g_y > 0
+    """Keys of every stratum contained in the closure of s (including s).
+
+    The closure is a union of products of per-side key sets: each focus's
+    degenerations are grouped by their trace on the shared nodes I & J,
+    and a pair of groups contributes all of its key pairs when the traces
+    are compatible.  ``pair_compatible`` reads the two tripartitions only
+    through their traces on I & J, so testing the traces (with I = J =
+    I & J) decides every pair in the two groups at once.  With a zero
+    genus there is no compatibility condition and one group per side.
+    """
+    shared = s.I & s.J if config.g_x > 0 and config.g_y > 0 else frozenset()
+    x_moves = _side_moves(s.I, s.alpha, config.g_y, shared)
+    y_moves = _side_moves(s.J, s.beta, config.g_x, shared)
     out = set()
-    for ti in x_tris:
-        for tj in y_tris:
-            if need_compat and not pair_compatible(ti, tj, s.I, s.J):
-                continue
-            out.add(
-                make_key(
-                    config,
-                    _drop_on(s.alpha, ti.last),
-                    ti.middle,
-                    _drop_on(s.beta, tj.last),
-                    tj.middle,
-                )
-            )
+    for ti, x_keys in x_moves:
+        for tj, y_keys in y_moves:
+            if pair_compatible(ti, tj, shared, shared):
+                out.update(StratumKey(a, b, i, j) for a, i in x_keys for b, j in y_keys)
     return frozenset(out)
 
 

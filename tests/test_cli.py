@@ -2,10 +2,15 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
+import limitcanon
 from limitcanon.cli import main, parse_q, qstr, stratum_key_from_obj
 from limitcanon.model import CurveConfig
 from limitcanon.strata import enumerate_strata, stratum_key
@@ -231,6 +236,13 @@ GOLDEN = {
         "5d8472a562f1e70abee75bdbd67db1fd99bdf504a32e413076aa0261b78d40eb",
         "8c1c73f21db2e3ae93737fcd6f040a3af13b39bab988e75de26a6f7546ec2209",
     ),
+    (4, 0, 4): (
+        "ec3ea40cf07bd1a47627130864f0b3225da6124f3228d88f6b42e4b08c98ee8c",
+        "e3c11354e9163760d0dad86f3c9ba9a4d672fc4ced77cea97d729914fe59a078",
+        "5abaf1f5c478a472574af08906428a3e3b42ea540f4e0b03adbcb043611ebcab",
+        "a1dd1305c0042721c4e53060eea0897f3c042296c27a437cc5d50f1b99f9fd50",
+        "306c839bf18d64976ef03ad015406d79f32c9af9fb922d6d6a9555311e27cc84",
+    ),
 }
 
 
@@ -350,3 +362,20 @@ def test_unopenable_file_exits_2(tmp_path, capsys, case):
     code, out, err = run_cli(capsys, argv)
     assert code == 2 and out == ""
     assert err.startswith("error: can't open ") and err.count("\n") == 1
+
+
+def test_python_m_entry_point(capsys):
+    src = str(Path(limitcanon.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+
+    def run(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "limitcanon", *argv], capture_output=True, text=True, env=env, timeout=60
+        )
+
+    assert run("--help").returncode == 0
+    argv = ["enumerate", "--gx", "1", "--gy", "1", "--delta", "2"]
+    done = run(*argv)
+    assert done.returncode == 0
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0 and done.stdout == out

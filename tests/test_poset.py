@@ -1,6 +1,7 @@
 """Tests for closure relations, the poset, and component counting."""
 
 import random
+import time
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
@@ -20,7 +21,7 @@ from limitcanon.poset import (
     to_dot,
 )
 from limitcanon.strata import StratumKey, enumerate_strata, make_key, stratum_key, stratum_of
-from limitcanon.tripartitions import pair_compatible, tripartitions
+from limitcanon.tripartitions import Tripartition, pair_compatible, tripartitions
 
 
 def _poset(g_x, g_y, delta):
@@ -228,3 +229,75 @@ def test_pair_compatible_iff_coupling_case():
     for I, ti in sided:
         for J, tj in sided:
             assert pair_compatible(ti, tj, I, J) == _coupling_case(ti, tj, I, J), (ti, tj)
+
+
+def _pairwise_closure(config, s):
+    """Oracle: every admissible tripartition pair of I and J, one key each."""
+
+    def admissible(members, weights, genus_target):
+        total = sum(weights)
+        return [
+            tri
+            for tri in tripartitions(members)
+            if genus_target + len(tri.last) <= total < genus_target + len(members) - len(tri.first)
+        ]
+
+    def drop_on(weights, part):
+        return tuple(w - 1 if p in part else w for p, w in enumerate(weights))
+
+    need_compat = config.g_x > 0 and config.g_y > 0
+    out = set()
+    for ti in admissible(s.I, s.alpha, config.g_y):
+        for tj in admissible(s.J, s.beta, config.g_x):
+            if need_compat and not pair_compatible(ti, tj, s.I, s.J):
+                continue
+            out.add(
+                make_key(config, drop_on(s.alpha, ti.last), ti.middle, drop_on(s.beta, tj.last), tj.middle)
+            )
+    return frozenset(out)
+
+
+ORACLE_TRIPLES = [(g_x, g_y, d) for d in (2, 3) for g_x in range(5) for g_y in range(5)]
+ORACLE_TRIPLES += [(0, 4, 4), (4, 0, 4), (1, 3, 4), (2, 2, 4)]
+
+
+def test_closure_matches_pairwise_oracle():
+    strata = 0
+    for g_x, g_y, delta in ORACLE_TRIPLES:
+        cfg = CurveConfig(g_x=g_x, g_y=g_y, delta=delta)
+        for s in enumerate_strata(cfg):
+            assert closure_of(cfg, s) == _pairwise_closure(cfg, s), (g_x, g_y, delta, s)
+            strata += 1
+    assert strata == 2218
+
+
+def _trace(tri, shared):
+    return Tripartition(tri.first & shared, tri.middle & shared, tri.last & shared)
+
+
+def test_pair_compatible_reads_only_traces_on_shared_nodes():
+    # closure_of tests whole groups of tripartition pairs through their
+    # traces on I & J; this is the identity that makes that exact
+    sided = [
+        (frozenset(I), tri)
+        for size in range(1, 4)
+        for I in combinations(range(4), size)
+        for tri in tripartitions(I)
+    ]
+    assert len(sided) == 174
+    for I, ti in sided:
+        for J, tj in sided:
+            shared = I & J
+            assert pair_compatible(ti, tj, I, J) == pair_compatible(
+                _trace(ti, shared), _trace(tj, shared), shared, shared
+            ), (ti, tj)
+
+
+def test_poset_cpu_guard():
+    # one-sided closures are products of side-key sets; keying every
+    # tripartition pair took about 1 s here
+    cfg = CurveConfig(g_x=0, g_y=3, delta=5)
+    found = enumerate_strata(cfg)
+    start = time.process_time()
+    build_poset(cfg, strata=found)
+    assert time.process_time() - start < 0.3
