@@ -2,9 +2,10 @@
 
 Output is deterministic: fixed orderings everywhere, rationals rendered as
 "a/b" in lowest terms with positive denominator, never floats.  Exit codes:
-2 for flag errors (argparse, and a negative --cap) and for an --input or
---output file that cannot be opened, 3 for invalid or infeasible
-mathematical input, 4 when an enumeration cap is exceeded.
+2 for flag errors (argparse, a negative --cap, and a negative
+orbit-closure --bound) and for an --input or --output file that cannot be
+opened, 3 for invalid or infeasible mathematical input, 4 when an
+enumeration cap is exceeded.
 
 ``--cap N`` (enumerate, poset, components) counts the realizable
 candidates (alpha, I, beta, J) the stratum search finds, before they are
@@ -450,10 +451,8 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     p = subs.add_parser("numdata", help="solve the numerical data for (mu, upsilon)")
-    p.add_argument("--mu", required=True)
+    _add_common(p, mu=True, genera=False)
     p.add_argument("--upsilon", type=int, required=True)
-    p.add_argument("--labels")
-    p.add_argument("--output", default="-")
     p.add_argument("--format", choices=["json", "text"], default="json")
     p.set_defaults(func=_cmd_numdata)
 
@@ -514,9 +513,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "cap", None) is not None and args.cap < 0:
-        print(f"error: --cap must be non-negative, got {args.cap}", file=sys.stderr)
-        return 2
+    for flag in ("cap", "bound"):
+        value = getattr(args, flag, None)
+        if value is not None and value < 0:
+            print(f"error: --{flag} must be non-negative, got {value}", file=sys.stderr)
+            return 2
     try:
         return args.func(args)
     except _PathError as exc:

@@ -216,16 +216,6 @@ def limit_pluecker(V: Subspace, psg: OnePSG) -> PlueckerVector:
     return PlueckerVector(V.ambient, V.dim, tuple(v / scale for v in out))
 
 
-def psg_for_tripartition(tri: Tripartition, n: int) -> OnePSG:
-    """The standard degeneration direction: -1 on first, 0 on middle, 1 on last."""
-    exps = [0] * n
-    for p in tri.first:
-        exps[p] = -1
-    for p in tri.last:
-        exps[p] = 1
-    return OnePSG(tuple(exps), tuple(Fraction(1) for _ in range(n)))
-
-
 def _vec(cols, n):
     return tuple(1 if i in cols else 0 for i in range(n))
 
@@ -318,25 +308,6 @@ def brute_force_closure_fingerprints(V: Subspace, bound: int = 3):
         for exps in product(range(-bound, bound + 1), repeat=V.ambient)
     }
     return frozenset(orbit_fingerprint(_masked(pv, supp)) for supp in supports)
-
-
-def satisfies_orbit_quadrics(point: PlueckerVector, reference: PlueckerVector) -> bool:
-    """Check the binomial orbit-closure equations of `reference` on `point`:
-    ref_{b1} ref_{b2} p_{b3} p_{b4} = ref_{b3} ref_{b4} p_{b1} p_{b2}
-    whenever b1 + b2 = b3 + b4 as exponent vectors."""
-    subsets = reference.subsets()
-    n = reference.ambient
-    by_sum = {}
-    for b1, b2 in combinations(range(len(subsets)), 2):
-        key = tuple(x + y for x, y in zip(_vec(subsets[b1], n), _vec(subsets[b2], n)))
-        by_sum.setdefault(key, []).append((b1, b2))
-    for pairs in by_sum.values():
-        for (a1, a2), (a3, a4) in combinations(pairs, 2):
-            lhs = reference.coords[a1] * reference.coords[a2] * point.coords[a3] * point.coords[a4]
-            rhs = reference.coords[a3] * reference.coords[a4] * point.coords[a1] * point.coords[a2]
-            if lhs != rhs:
-                return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -516,7 +487,7 @@ def _pair_recipe_cochar(supp_v, supp_w, lam, tau, I, J, nV, nW):
 
 
 def pair_brute_force_fingerprints(
-    V: Subspace, W: Subspace, alpha_tilde: int, beta_tilde: int, I, J, include_recipes=True
+    V: Subspace, W: Subspace, alpha_tilde: int, beta_tilde: int, I, J
 ):
     """Fingerprints of limits of (V, W) under a family of coupling 1-PSGs.
 
@@ -563,11 +534,10 @@ def pair_brute_force_fingerprints(
             for vexps in product(free_range, repeat=nj):
                 register(uexps, vexps)
 
-    if include_recipes:
-        for ti, tj in _compatible_pairs(V, W, I, J):
-            sv = pluecker(tripartition_degenerate(V, ti)).support()
-            sw = pluecker(tripartition_degenerate(W, tj)).support()
-            register(*_pair_recipe_cochar(sv, sw, lam, tau, I, J, ni, nj))
+    for ti, tj in _compatible_pairs(V, W, I, J):
+        sv = pluecker(tripartition_degenerate(V, ti)).support()
+        sw = pluecker(tripartition_degenerate(W, tj)).support()
+        register(*_pair_recipe_cochar(sv, sw, lam, tau, I, J, ni, nj))
 
     return frozenset(
         _pair_fingerprint_from(

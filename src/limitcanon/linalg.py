@@ -156,7 +156,11 @@ def hnf_rows(rows):
     """Row-style Hermite normal form of the lattice spanned by ``rows``.
 
     Canonical: pivots positive, entries above each pivot reduced into
-    [0, pivot).  Used to fix a deterministic basis for relation lattices.
+    [0, pivot), so every basis of the same lattice gives the same rows.
+    The entries above pivots are reduced top-down: a reduction by a lower
+    row leaves the columns of the pivots above it alone, while going
+    bottom-up would let a later reduction by an upper row undo an earlier
+    one.  Used to fix a deterministic basis for relation lattices.
     """
     work = [list(map(int, r)) for r in rows if any(r)]
     if not work:
@@ -186,7 +190,7 @@ def hnf_rows(rows):
         result.append(pivot_row)
         col += 1
     # reduce entries above pivots
-    for i in range(len(result) - 1, -1, -1):
+    for i in range(len(result)):
         pcol = next(k for k in range(ncols) if result[i][k] != 0)
         p = result[i][pcol]
         for j in range(i):

@@ -203,10 +203,6 @@ def multidegree_of_twisted_dualizing(
     return MultiDegree(tuple(degrees))
 
 
-def fiber_divisor(model: SemistableModel) -> DivisorOnModel:
-    return DivisorOnModel(model, {c: 1 for c in model.components})
-
-
 def correction_numbers(stratum):
     """Correction numbers at each node for the two foci: (alpha map, beta map)."""
     return (

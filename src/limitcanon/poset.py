@@ -15,10 +15,11 @@ the two tripartitions only through their traces on the shared nodes I & J,
 so ``closure_of`` works one side at a time: it groups each side's
 degenerations by that trace and takes the closure as a union of products
 of per-side key sets, one product per compatible pair of traces.  The
-pairwise enumeration survives in ``direction_probes``, which builds a
-perturbation for every compatible pair.  Sampling weight vectors in an
-explicit neighborhood of a witness provides an independent check and never
-enters the production path.
+pairwise enumeration, which keys every compatible pair of tripartitions
+and builds a perturbation reaching each, lives with the tests as their
+independent oracle (``tests/oracles.py``).  Sampling weight vectors in an
+explicit neighborhood of a witness (``neighborhood_sample_check``) is a
+second independent check and never enters the production path.
 
 Irreducible components are counted as the maximal strata of the closure
 poset; strata are pairwise disjoint and each is irreducible, so maximal
@@ -35,8 +36,8 @@ from math import comb, gcd
 
 from .model import CurveConfig
 from .numdata import _integer_scaled
-from .strata import StratumData, StratumKey, enumerate_strata, make_key, stratum_dim, stratum_key, stratum_of
-from .tripartitions import Tripartition, pair_compatible, tripartitions
+from .strata import StratumData, StratumKey, enumerate_strata, stratum_dim, stratum_key, stratum_of
+from .tripartitions import Tripartition, pair_compatible
 
 __all__ = [
     "ClosurePoset",
@@ -45,20 +46,10 @@ __all__ = [
     "closure_of",
     "components",
     "count_formulas",
-    "direction_probes",
     "neighborhood_radius",
     "neighborhood_sample_check",
     "to_dot",
 ]
-
-
-def _admissible(members, weights, genus_target):
-    total = sum(weights)
-    out = []
-    for tri in tripartitions(members):
-        if genus_target + len(tri.last) <= total < genus_target + len(members) - len(tri.first):
-            out.append(tri)
-    return out
 
 
 def _drop_on(weights, part):
@@ -69,12 +60,12 @@ def _side_moves(members, weights, genus_target, shared):
     """One focus's part of every admissible degeneration, grouped by trace.
 
     Walks the tripartitions (first, middle, last) of ``members`` in the
-    window of ``_admissible`` by part size, and writes the side's share of
-    the key once per (last, middle): the weights minus one on ``last`` and
-    the locus ``middle`` (``None`` when the new total is down to the
-    other genus, as in ``make_key``).  Returns one pair per trace of a
-    tripartition on ``shared``: the trace, and the set of side keys of
-    the tripartitions that have it.
+    window of the module docstring by part size, and writes the side's
+    share of the key once per (last, middle): the weights minus one on
+    ``last`` and the locus ``middle`` (``None`` when the new total is down
+    to the other genus, as in ``make_key``).  Returns one pair per trace
+    of a tripartition on ``shared``: the trace, and the set of side keys
+    of the tripartitions that have it.
     """
     total = sum(weights)
     groups = {}
@@ -119,9 +110,6 @@ class ClosurePoset:
     rep: dict
     closure: dict
     dims: dict
-
-    def contains(self, upper: StratumKey, lower: StratumKey) -> bool:
-        return lower in self.closure[upper]
 
     def maximal(self):
         below = set()
@@ -240,82 +228,6 @@ def neighborhood_sample_check(
         if key not in allowed:
             violations.append((shifted, key))
     return {"samples": samples, "violations": violations, "ok": not violations}
-
-
-def _case_direction(ti, tj, I, J, mu):
-    """Joint perturbation direction for a compatible tripartition pair."""
-    i1, i2, i3 = ti.first, ti.middle, ti.last
-    j1, j2, j3 = tj.first, tj.middle, tj.last
-    shared = I & J
-    out = [Fraction(0)] * len(mu)
-
-    def assign(part, factor):
-        for p in part:
-            out[p] = factor * mu[p]
-
-    if shared == (i1 & j1) | (i2 & j2) | (i3 & j3):
-        assign(i2 | j2, Fraction(1))
-        assign(i3 | j3, Fraction(2))
-    elif shared == (i1 & j1) | (i2 & j1) | (i3 & j1) | (i3 & j2) | (i3 & j3):
-        assign(i2, Fraction(1))
-        assign(i3 & j1, Fraction(2))
-        assign(j2, Fraction(3))
-        assign(j3 | (i3 - J), Fraction(4))
-    elif shared == (i1 & j1) | (i1 & j2) | (i1 & j3) | (i2 & j3) | (i3 & j3):
-        assign(j2, Fraction(1))
-        assign(j3 & i1, Fraction(2))
-        assign(i2, Fraction(3))
-        assign(i3 | (j3 - I), Fraction(4))
-    else:
-        raise AssertionError("compatible pair matches none of the three cases")
-    return tuple(out)
-
-
-def direction_probes(config: CurveConfig, s: StratumData):
-    """Constructive perturbation directions reaching each predicted key.
-
-    Returns triples (target_key, integral_mu, upsilon); moving the witness
-    by a small positive multiple of upsilon lands in the target stratum.
-    Used as the constructive cross-check of ``closure_of``.
-    """
-    mu, _, _ = _integral_witness(s)
-    x_tris = _admissible(s.I, s.alpha, config.g_y)
-    y_tris = _admissible(s.J, s.beta, config.g_x)
-    probes = []
-    if config.g_x > 0 and config.g_y > 0:
-        for ti in x_tris:
-            for tj in y_tris:
-                if not pair_compatible(ti, tj, s.I, s.J):
-                    continue
-                key = make_key(
-                    config,
-                    _drop_on(s.alpha, ti.last),
-                    ti.middle,
-                    _drop_on(s.beta, tj.last),
-                    tj.middle,
-                )
-                probes.append((key, mu, _case_direction(ti, tj, s.I, s.J, mu)))
-    elif config.g_y > 0:
-        for ti in x_tris:
-            upsilon = [Fraction(0)] * config.delta
-            for p in ti.middle:
-                upsilon[p] = Fraction(mu[p])
-            for p in ti.last:
-                upsilon[p] = 2 * Fraction(mu[p])
-            key = make_key(config, _drop_on(s.alpha, ti.last), ti.middle, s.beta, s.J)
-            probes.append((key, mu, tuple(upsilon)))
-    elif config.g_x > 0:
-        for tj in y_tris:
-            upsilon = [Fraction(0)] * config.delta
-            for p in tj.middle:
-                upsilon[p] = Fraction(mu[p])
-            for p in tj.last:
-                upsilon[p] = 2 * Fraction(mu[p])
-            key = make_key(config, s.alpha, s.I, _drop_on(s.beta, tj.last), tj.middle)
-            probes.append((key, mu, tuple(upsilon)))
-    else:
-        probes.append((stratum_key(config, s), mu, tuple(Fraction(0) for _ in mu)))
-    return probes
 
 
 def _key_label(config, key: StratumKey, dim: int) -> str:

@@ -81,11 +81,3 @@ def weierstrass_degrees(config: CurveConfig, s) -> WeierstrassDegrees:
     )
     return WeierstrassDegrees(stratum_form=stratum_form, normalized=normalized)
 
-
-def base_change_terms(config: CurveConfig, s):
-    """Per-node difference between the two forms: g(g_Y - alpha_p) on the X
-    side plus g(g_X - beta_p) on the Y side."""
-    g = config.genus
-    return tuple(
-        g * (config.g_y - a) + g * (config.g_x - b) for a, b in zip(s.alpha, s.beta)
-    )

@@ -1,0 +1,159 @@
+"""Independent checks that only the tests use, kept out of the library.
+
+The pairwise closure rules: ``admissible`` lists the tripartitions
+(first, middle, last) of an equality locus in the degeneration window,
+``coupling_case`` names which of the three coupling patterns a compatible
+pair follows on the shared nodes, and ``direction_probes`` builds, for
+every compatible pair, a perturbation of the witness that lands in the
+pair's stratum: the constructive cross-check of ``poset.closure_of``.
+Beside them sit the binomial orbit-closure equations, the standard
+one-parameter subgroup of a tripartition, the base-change terms between
+the two Weierstrass presentations and the fiber divisor of a model.
+
+Only public names of ``limitcanon`` are imported, so these checks do not
+share the library's private helpers.
+"""
+
+from fractions import Fraction
+from itertools import combinations
+
+from limitcanon.grassmann import OnePSG
+from limitcanon.model import DivisorOnModel
+from limitcanon.poset import neighborhood_radius
+from limitcanon.strata import make_key, stratum_key
+from limitcanon.tripartitions import pair_compatible, tripartitions
+
+# ---------------------------------------------------------------------------
+# pairwise closure rules
+
+
+def admissible(members, weights, genus_target):
+    """Tripartitions of ``members`` with
+    genus_target + |last| <= |weights| < genus_target + |members| - |first|."""
+    total = sum(weights)
+    return [
+        tri
+        for tri in tripartitions(members)
+        if genus_target + len(tri.last) <= total < genus_target + len(members) - len(tri.first)
+    ]
+
+
+def drop_on(weights, part):
+    return tuple(w - 1 if p in part else w for p, w in enumerate(weights))
+
+
+def coupling_case(ti, tj, I, J):
+    """Index of the first coupling pattern the shared nodes I & J follow, or
+    None; a pair of tripartitions is compatible exactly when there is one."""
+    i1, i2, i3 = ti.first, ti.middle, ti.last
+    j1, j2, j3 = tj.first, tj.middle, tj.last
+    patterns = (
+        (i1 & j1) | (i2 & j2) | (i3 & j3),
+        (i1 & j1) | (i2 & j1) | (i3 & j1) | (i3 & j2) | (i3 & j3),
+        (i1 & j1) | (i1 & j2) | (i1 & j3) | (i2 & j3) | (i3 & j3),
+    )
+    return next((k for k, pattern in enumerate(patterns) if I & J == pattern), None)
+
+
+def _scaled(mu, parts):
+    """The vector factor * mu_p on each p of each (part, factor), 0 elsewhere;
+    a later part overrides an earlier one."""
+    out = [Fraction(0)] * len(mu)
+    for part, factor in parts:
+        for p in part:
+            out[p] = Fraction(factor * mu[p])
+    return tuple(out)
+
+
+def _case_direction(ti, tj, I, J, mu):
+    """Joint perturbation direction for a compatible tripartition pair."""
+    i1, i2, i3 = ti.first, ti.middle, ti.last
+    j1, j2, j3 = tj.first, tj.middle, tj.last
+    case = coupling_case(ti, tj, I, J)
+    assert case is not None, "compatible pair matches none of the three cases"
+    layouts = (
+        ((i2 | j2, 1), (i3 | j3, 2)),
+        ((i2, 1), (i3 & j1, 2), (j2, 3), (j3 | (i3 - J), 4)),
+        ((j2, 1), (j3 & i1, 2), (i2, 3), (i3 | (j3 - I), 4)),
+    )
+    return _scaled(mu, layouts[case])
+
+
+def direction_probes(config, s):
+    """Constructive perturbation directions reaching each predicted key.
+
+    Returns triples (target_key, integral_mu, upsilon); moving the witness
+    by a small positive multiple of upsilon lands in the target stratum.
+    """
+    mu = neighborhood_radius(s)[0]
+    x_tris = admissible(s.I, s.alpha, config.g_y)
+    y_tris = admissible(s.J, s.beta, config.g_x)
+    probes = []
+    if config.g_x > 0 and config.g_y > 0:
+        for ti in x_tris:
+            for tj in y_tris:
+                if pair_compatible(ti, tj, s.I, s.J):
+                    key = make_key(
+                        config, drop_on(s.alpha, ti.last), ti.middle, drop_on(s.beta, tj.last), tj.middle
+                    )
+                    probes.append((key, mu, _case_direction(ti, tj, s.I, s.J, mu)))
+    elif config.g_y > 0:
+        for ti in x_tris:
+            key = make_key(config, drop_on(s.alpha, ti.last), ti.middle, s.beta, s.J)
+            probes.append((key, mu, _scaled(mu, ((ti.middle, 1), (ti.last, 2)))))
+    elif config.g_x > 0:
+        for tj in y_tris:
+            key = make_key(config, s.alpha, s.I, drop_on(s.beta, tj.last), tj.middle)
+            probes.append((key, mu, _scaled(mu, ((tj.middle, 1), (tj.last, 2)))))
+    else:
+        probes.append((stratum_key(config, s), mu, _scaled(mu, ())))
+    return probes
+
+
+# ---------------------------------------------------------------------------
+# Grassmannians, Weierstrass degrees, models
+
+
+def _vec(cols, n):
+    return tuple(1 if i in cols else 0 for i in range(n))
+
+
+def satisfies_orbit_quadrics(point, reference):
+    """Check the binomial orbit-closure equations of ``reference`` on ``point``:
+    ref_{b1} ref_{b2} p_{b3} p_{b4} = ref_{b3} ref_{b4} p_{b1} p_{b2}
+    whenever b1 + b2 = b3 + b4 as exponent vectors."""
+    subsets = reference.subsets()
+    n = reference.ambient
+    by_sum = {}
+    for b1, b2 in combinations(range(len(subsets)), 2):
+        key = tuple(x + y for x, y in zip(_vec(subsets[b1], n), _vec(subsets[b2], n)))
+        by_sum.setdefault(key, []).append((b1, b2))
+    for pairs in by_sum.values():
+        for (a1, a2), (a3, a4) in combinations(pairs, 2):
+            lhs = reference.coords[a1] * reference.coords[a2] * point.coords[a3] * point.coords[a4]
+            rhs = reference.coords[a3] * reference.coords[a4] * point.coords[a1] * point.coords[a2]
+            if lhs != rhs:
+                return False
+    return True
+
+
+def psg_for_tripartition(tri, n):
+    """The standard degeneration direction: -1 on first, 0 on middle, 1 on last."""
+    exps = [0] * n
+    for p in tri.first:
+        exps[p] = -1
+    for p in tri.last:
+        exps[p] = 1
+    return OnePSG(tuple(exps), tuple(Fraction(1) for _ in range(n)))
+
+
+def base_change_terms(config, s):
+    """Per-node difference between the two Weierstrass presentations:
+    g(g_Y - alpha_p) on the X side plus g(g_X - beta_p) on the Y side."""
+    g = config.genus
+    return tuple(g * (config.g_y - a) + g * (config.g_x - b) for a, b in zip(s.alpha, s.beta))
+
+
+def fiber_divisor(model):
+    """The whole fiber: every component with coefficient 1."""
+    return DivisorOnModel(model, {c: 1 for c in model.components})

@@ -33,7 +33,8 @@ from limitcanon.numdata import associated_data, scan_oracle, verify_conditions
 from limitcanon.poset import build_poset, components, count_formulas, neighborhood_sample_check
 from limitcanon.strata import enumerate_strata
 from limitcanon.tripartitions import tripartitions
-from limitcanon.weier import base_change_terms, weierstrass_degrees
+from limitcanon.weier import weierstrass_degrees
+from oracles import base_change_terms
 
 
 def _report(num, name, elapsed, limit=None):

@@ -268,6 +268,79 @@ def test_golden_outputs(capsys, triple):
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
 
+# sha256 of the stdout of numdata (json, text; upsilon = g_Y), stratum,
+# model (json, text) and weierstrass at GOLDEN_MU, for the same configs.
+GOLDEN_POINT = {
+    (1, 3, 2): (
+        "2457ec9ac83e57199c28ce6bbb25975fdb8b823549342cc7735250f80c045995",
+        "6e5b9910530cee341aa827aca9cf9f68c2398544d405cbc2cc0b04285745cad0",
+        "039a3bebd4be6eb9c0064cb21e350badab95adddc8ec7964de5c042f5b341cdb",
+        "b7bb415c6f7cce546372594c3f398ab2e01190a86c7cdb5df69ea9fa734813f0",
+        "9c257fbd8181a02d7da02cdf10f8a800c80d20a2a00cac651cee19d975c954fe",
+        "06adf090a9fb615d7d0d5120f72e7ecbd6448da946531c5135ecf52ca34e938f",
+    ),
+    (1, 3, 4): (
+        "75b0638969308bbaa432393e37e193a924c33dc3eb73009ac26da10214290930",
+        "7d77c832e7ee62e007b333e4c291e804ee003e5314e4f014d5f88fd3ed1f538e",
+        "bf50f9ccd46503b1fbb059c38ff2e8565f9fe2a46059fea30d070b5fd241d670",
+        "9885ca04db55f78c5476e26ce96fdcc540dd6a5f9f823055719432f939deefce",
+        "4cf9b6c10ba952a1b4d261284dd15c33039e8db75ef3abd6a3d328e2640a32b3",
+        "f450e586b67fa6bbf272cdf5f2e4a042fcfebc7744c7830ad4b9723afd931424",
+    ),
+    (0, 5, 3): (
+        "5a4043b9e7479e713bd0ada9529a091372d1147a986e41c302e10f7a4bd5aee4",
+        "3aeed6c8fba9f9c0a9ffc210688b4b5dffab8f32828c858b88629440869dff2a",
+        "4ea5349f1df80a9d83dc279af723a1bb756b114f0a7fea24e0ffff05e34041f4",
+        "82c2a74b68fee1fcd6223dbfcfee219c3b3d55761e9e1d90d36815bd6623fdba",
+        "3a380f843ecb1f9baae3610988a47859ac2199fee5a0ccbf538070d1008ba276",
+        "4c0470c8b8b89ff2f00131fcebf0fa19b40a3b31226c366f0f2abf903dd817cb",
+    ),
+    (2, 4, 3): (
+        "be0191e6e0b7ca27ae7b6336657afb1c5a1f56390e9a3e323e86e86c392cb463",
+        "cff2f15640b789835aaa5a07bec97a7e5ab6f64fa890abccbc76308defe51859",
+        "fa6edfd3023d30ead134fd11d9a90d48c19d5d2313aa5f6588c3cde0a7e5012f",
+        "361a246aba6157b485a74cde046d05d15d95ddec36796a043b259a29984d1298",
+        "cc42ce19106368a621540b7f6ee62e49ec522696169e290151e8cf28b247ac2f",
+        "5074466549e6782bd64cf8c3a2458432007a8ef91008d8a01fe985a44c1b4e28",
+    ),
+    (3, 3, 3): (
+        "4f041d165888434527de2d3d4ba0413c85ee5396bd40c10a50e7c234d8e1a6ab",
+        "9c3a77d15f9b780da04cc92e46cb338e0594e6af5fcba173c50467bfa351e12d",
+        "b06816c1442b384a31ed2dc55b545bc2008d97f9c78ccc5de7cf63f3b318d419",
+        "f6b7410c158e85b8bc1ee5d5a7a8947a18fa6bbde6f929d750e15918f04c4b16",
+        "93451f729b2aab63c5046a02aaba614296e6d12022835e7a5e185153560d8f6e",
+        "b9b303ca4459e31861d02829ad77ec078820a8807890d1d3c80473ff89fe3b79",
+    ),
+    (4, 0, 4): (
+        "1c4ab14652f383feecd2bc41f42e801c9f4ab3d280221ef19fd059a26d0ee947",
+        "9d2131f3476b181787db95db604ad7dd9227dc5d3f986c8f089d66b45a3bb017",
+        "d2f16484a549b8a01e246a4877f699ada6ff91ec5423eeb66d7932498d307a36",
+        "09554058cbb9b08787a2dfa6fabd39e278859aa67329083fe4254679e7d63164",
+        "cd57a2c21ad1d173e14a9d0d8cc3ed8f0158dcd8a060f7d0597f984f7f688231",
+        "1fdcbe8a0115fb74439689662803945a7d9f9c31b21f44d7e70e36282abeeafe",
+    ),
+}
+
+
+@pytest.mark.parametrize("triple", sorted(GOLDEN_POINT))
+def test_golden_point_outputs(capsys, triple):
+    g_x, g_y, delta = triple
+    mu = GOLDEN_MU[delta]
+    genera = ["--gx", str(g_x), "--gy", str(g_y)]
+    commands = [
+        ["numdata", "--mu", mu, "--upsilon", str(g_y), "--format", "json"],
+        ["numdata", "--mu", mu, "--upsilon", str(g_y), "--format", "text"],
+        ["stratum", *genera, "--mu", mu],
+        ["model", *genera, "--mu", mu, "--format", "json"],
+        ["model", *genera, "--mu", mu, "--format", "text"],
+        ["weierstrass", *genera, "--mu", mu],
+    ]
+    assert len(commands) == len(GOLDEN_POINT[triple])
+    for argv, digest in zip(commands, GOLDEN_POINT[triple]):
+        code, out, _ = run_cli(capsys, argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+
 
 # sha256 of `orbit-closure --brute-force` on the README's single subspace
 # and on a coupled pair sharing two nodes.
@@ -326,6 +399,15 @@ def test_negative_cap_is_flag_error(capsys, command):
     code, out, err = run_cli(capsys, argv)
     assert code == 2 and out == ""
     assert err.startswith("error: --cap ") and err.count("\n") == 1
+
+
+def test_negative_bound_is_flag_error(tmp_path, capsys):
+    path = tmp_path / "subspace.json"
+    path.write_text(json.dumps({"basis": [["1", "0", "2", "3"], ["0", "1", "5", "7"]]}))
+    argv = ["orbit-closure", "--input", str(path), "--brute-force", "--bound", "-1"]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: --bound ") and err.count("\n") == 1
 
 
 def test_text_formats(capsys):

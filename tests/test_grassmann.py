@@ -16,11 +16,10 @@ from limitcanon.grassmann import (
     pair_brute_force_fingerprints,
     pair_closure_orbit_set,
     pluecker,
-    psg_for_tripartition,
-    satisfies_orbit_quadrics,
     tripartition_degenerate,
 )
 from limitcanon.tripartitions import Tripartition, tripartitions
+from oracles import psg_for_tripartition, satisfies_orbit_quadrics
 
 
 def rand_general_subspace(rng, n, h):

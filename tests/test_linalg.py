@@ -61,6 +61,32 @@ def test_hnf_rows_canonical():
     assert hnf_rows([(0, 0)]) == []
 
 
+def _rebased(rng, rows):
+    """Other generators of the same lattice: unimodular row moves, then a shuffle."""
+    rows = [list(r) for r in rows]
+    for _ in range(8):
+        i, j = rng.sample(range(len(rows)), 2)
+        k = rng.randint(-3, 3)
+        rows[i] = [a + k * b for a, b in zip(rows[i], rows[j])]
+        if rng.random() < 0.3:
+            rows[j] = [-b for b in rows[j]]
+    rng.shuffle(rows)
+    return rows
+
+
+def test_hnf_rows_is_basis_independent():
+    rng = random.Random(2718)
+    for _ in range(400):
+        ncols = rng.randint(2, 5)
+        rows = [[rng.randint(-3, 3) for _ in range(ncols)] for _ in range(rng.randint(2, ncols))]
+        hnf = hnf_rows(rows)
+        assert hnf_rows(_rebased(rng, rows)) == hnf, rows
+        for i, row in enumerate(hnf):
+            pcol = next(k for k, x in enumerate(row) if x)
+            assert row[pcol] > 0
+            assert all(0 <= upper[pcol] < row[pcol] for upper in hnf[:i]), hnf
+
+
 def test_relation_lattice():
     rels = relation_lattice([(1, 0), (0, 1), (1, 1)])
     assert len(rels) == 1

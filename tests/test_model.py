@@ -14,7 +14,6 @@ from limitcanon.model import (
     build_model,
     chain_component,
     correction_numbers,
-    fiber_divisor,
     intersection,
     multidegree_of_twisted_dualizing,
     twist_divisor_focus_X,
@@ -22,6 +21,7 @@ from limitcanon.model import (
 )
 from limitcanon.numdata import associated_data
 from limitcanon.strata import stratum_of
+from oracles import fiber_divisor
 
 
 def test_build_model_counts():

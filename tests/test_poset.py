@@ -14,7 +14,6 @@ from limitcanon.poset import (
     closure_of,
     components,
     count_formulas,
-    direction_probes,
     n_delta,
     neighborhood_radius,
     neighborhood_sample_check,
@@ -22,6 +21,7 @@ from limitcanon.poset import (
 )
 from limitcanon.strata import StratumKey, enumerate_strata, make_key, stratum_key, stratum_of
 from limitcanon.tripartitions import Tripartition, pair_compatible, tripartitions
+from oracles import admissible, coupling_case, direction_probes, drop_on
 
 
 def _poset(g_x, g_y, delta):
@@ -204,20 +204,9 @@ def test_covering_edges_match_scan():
     assert edges == 3128
 
 
-def _coupling_case(ti, tj, I, J):
-    """Whether the shared nodes follow one of the three coupling patterns
-    behind ``poset._case_direction`` and ``grassmann._pair_recipe_cochar``."""
-    i1, i2, i3 = ti.first, ti.middle, ti.last
-    j1, j2, j3 = tj.first, tj.middle, tj.last
-    patterns = (
-        (i1 & j1) | (i2 & j2) | (i3 & j3),
-        (i1 & j1) | (i2 & j1) | (i3 & j1) | (i3 & j2) | (i3 & j3),
-        (i1 & j1) | (i1 & j2) | (i1 & j3) | (i2 & j3) | (i3 & j3),
-    )
-    return (I & J) in patterns
-
-
 def test_pair_compatible_iff_coupling_case():
+    # the three coupling patterns behind the probe directions of
+    # ``oracles.direction_probes`` and ``grassmann._pair_recipe_cochar``
     universe = range(4)
     sided = [
         (frozenset(I), tri)
@@ -228,23 +217,12 @@ def test_pair_compatible_iff_coupling_case():
     assert len(sided) == 255
     for I, ti in sided:
         for J, tj in sided:
-            assert pair_compatible(ti, tj, I, J) == _coupling_case(ti, tj, I, J), (ti, tj)
+            has_case = coupling_case(ti, tj, I, J) is not None
+            assert pair_compatible(ti, tj, I, J) == has_case, (ti, tj)
 
 
 def _pairwise_closure(config, s):
     """Oracle: every admissible tripartition pair of I and J, one key each."""
-
-    def admissible(members, weights, genus_target):
-        total = sum(weights)
-        return [
-            tri
-            for tri in tripartitions(members)
-            if genus_target + len(tri.last) <= total < genus_target + len(members) - len(tri.first)
-        ]
-
-    def drop_on(weights, part):
-        return tuple(w - 1 if p in part else w for p, w in enumerate(weights))
-
     need_compat = config.g_x > 0 and config.g_y > 0
     out = set()
     for ti in admissible(s.I, s.alpha, config.g_y):

@@ -4,7 +4,8 @@ import pytest
 
 from limitcanon.model import CurveConfig
 from limitcanon.strata import enumerate_strata, stratum_of
-from limitcanon.weier import base_change_terms, pluecker_ramification_degree, weierstrass_degrees
+from limitcanon.weier import pluecker_ramification_degree, weierstrass_degrees
+from oracles import base_change_terms
 
 
 def test_ramification_degree_formula():
