@@ -5,7 +5,10 @@ Output is deterministic: fixed orderings everywhere, rationals rendered as
 2 for flag errors (argparse, a negative --cap, and a negative
 orbit-closure --bound) and for an --input or --output file that cannot be
 opened, 3 for invalid or infeasible mathematical input, 4 when an
-enumeration cap is exceeded.
+enumeration cap is exceeded, 5 when an internal correctness check fails
+(a stratum witness that does not carry its candidate, a Grassmannian
+support pair outside the coupling cases); each prints one ``error: ...``
+line on stderr.
 
 ``--cap N`` (enumerate, poset, components) counts the realizable
 candidates (alpha, I, beta, J) the stratum search finds, before they are
@@ -529,6 +532,9 @@ def main(argv=None) -> int:
     except (ValueError, ZeroDivisionError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except AssertionError as exc:
+        print(f"error: internal check failed: {exc}", file=sys.stderr)
+        return 5
 
 
 if __name__ == "__main__":

@@ -19,9 +19,12 @@ is an integer multiple of mu_p.  The step function F(c) := sum_p
 floor(c / mu_p) increases only at such multiples, jumping by |I(c)|, and
 condition (c) says precisely that c is the unique breakpoint with
 F(c-) < upsilon <= F(c); equivalently, c is the smallest value with
-F(c) >= upsilon.  ``associated_data`` locates that breakpoint by a galloping
-binary search; ``scan_oracle`` finds it by a deliberately naive linear scan
-and is kept as an independent cross-check.
+F(c) >= upsilon.  ``_breakpoint`` is the shared integer core: on an integer
+vector m it locates that breakpoint by a galloping binary search.
+``associated_data`` (one target) and ``strata.stratum_of`` (both foci, one
+clearing of mu) read the solution off it; ``scan_oracle`` finds the
+breakpoint by a deliberately naive linear scan and is kept as an independent
+cross-check played against it.
 
 All arithmetic is exact.  A rational mu is cleared to an integer vector
 first; by homogeneity (scaling mu by t > 0 keeps alpha and I, scales rho and
@@ -61,7 +64,7 @@ def _clean_mu(mu):
 def _integer_scaled(mu):
     """Return (m, t) with m = t*mu integral and t a positive integer."""
     t = lcm(*(f.denominator for f in mu)) if len(mu) > 1 else mu[0].denominator
-    return [int(f * t) for f in mu], t
+    return [f.numerator * (t // f.denominator) for f in mu], t
 
 
 def _data_from_breakpoint(m, t, c):
@@ -71,10 +74,12 @@ def _data_from_breakpoint(m, t, c):
     return NumericalData(alpha, rho, members, Fraction(c, t))
 
 
-def associated_data(mu, upsilon: int) -> NumericalData:
-    """Solve for the unique (alpha, rho, I) attached to (mu, upsilon)."""
-    mu = _clean_mu(mu)
-    m, t = _integer_scaled(mu)
+def _breakpoint(m, upsilon: int) -> int:
+    """The breakpoint c with F(c-) < upsilon <= F(c), F(c) = sum floor(c / m_p).
+
+    ``m`` is a vector of positive integers; c is the smallest integer with
+    F(c) >= upsilon, found by galloping out from 0 and bisecting.
+    """
 
     def jumps(c):
         return sum(c // mp for mp in m)
@@ -97,7 +102,13 @@ def associated_data(mu, upsilon: int) -> NumericalData:
             hi = mid
         else:
             lo = mid
-    return _data_from_breakpoint(m, t, hi)
+    return hi
+
+
+def associated_data(mu, upsilon: int) -> NumericalData:
+    """Solve for the unique (alpha, rho, I) attached to (mu, upsilon)."""
+    m, t = _integer_scaled(_clean_mu(mu))
+    return _data_from_breakpoint(m, t, _breakpoint(m, upsilon))
 
 
 def verify_conditions(mu, upsilon: int, candidate: NumericalData) -> bool:

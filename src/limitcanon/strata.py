@@ -23,8 +23,17 @@ r, and its witness is written down directly: c = 1, d = r, mu_p pinned on
 the loci and the midpoint of its node interval ``_node_interval(level,
 w_p)``, level/(w_p+1) < mu_p < level/w_p, elsewhere (normalized so the
 last coordinate is 1); the fan figure reads the same interval.  A zero
-genus puts its side's level at 0, which leaves no condition on mu.  Every
-witness is classified back onto its candidate.  The test suite keeps a
+genus puts its side's level at 0, which leaves no condition on mu.  The
+search keeps its r-interval as integer (numerator, denominator) pairs.
+
+Every witness is checked at its own levels, in integers (``_at_levels``):
+cleared to one integer scale, its floor and divisibility pattern at level
+1 (focus X) and r (focus Y) must be the candidate's, within the window
+g <= total < g + |locus|.  The numerical data at a target is unique and its
+level is the one breakpoint of the ``numdata`` docstring, so this holds
+exactly when ``stratum_of`` classifies the witness back onto its
+candidate; the representative kept per key is then classified by
+``stratum_of``, whose data the output carries.  The test suite keeps a
 Fourier-Motzkin solver of the joint system and a brute-force candidate
 product as independent oracles.
 """
@@ -35,7 +44,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .model import CurveConfig
-from .numdata import associated_data
+from .numdata import _breakpoint, _clean_mu, _data_from_breakpoint, _integer_scaled
 
 DEFAULT_CAP = 1_000_000
 
@@ -85,12 +94,18 @@ class StratumData:
 
 
 def stratum_of(config: CurveConfig, mu) -> StratumData:
-    """Classify a positive rational weight vector."""
-    mu = tuple(Fraction(m) for m in mu)
+    """Classify a positive rational weight vector.
+
+    mu is cleared to integers once; both foci read their data off the
+    breakpoint of that one integer vector (``numdata._breakpoint``).
+    """
+    mu = tuple(mu)
     if len(mu) != config.delta:
         raise ValueError("mu length must equal delta")
-    data_x = associated_data(mu, config.g_y)
-    data_y = associated_data(mu, config.g_x)
+    mu = _clean_mu(mu)
+    m, t = _integer_scaled(mu)
+    data_x = _data_from_breakpoint(m, t, _breakpoint(m, config.g_y))
+    data_y = _data_from_breakpoint(m, t, _breakpoint(m, config.g_x))
     sigma = tuple(m - r for m, r in zip(mu, data_y.rho))
     alpha_tilde = beta_tilde = None
     if config.g_x > 0 and config.g_y > 0:
@@ -204,21 +219,36 @@ def _narrow(state, a, in_i, b, in_j):
     With c = 1 and d = r, mu_p is 1/a on I, else in (1/(a+1), 1/a), and
     r/b on J, else in (r/(b+1), r/b).  Eliminating mu_p pins r to b/a on
     I & J; otherwise r lies above b/a on I (else b/(a+1)) and below b/a on
-    J (else (b+1)/a), with no upper end when a = 0.
+    J (else (b+1)/a), with no upper end when a = 0.  Each bound is an
+    integer pair (numerator, positive denominator), compared by
+    cross-products.
     """
     lo, hi, pin = state
     if in_i and in_j:
-        if pin is not None and pin != Fraction(b, a):
+        if pin is not None and pin[0] * a != b * pin[1]:
             return None
-        pin = Fraction(b, a)
+        pin = (b, a)
     else:
-        lo = max(lo, Fraction(b, a if in_i else a + 1))
+        den = a if in_i else a + 1
+        if b * lo[1] > lo[0] * den:
+            lo = (b, den)
         if a:
-            top = Fraction(b if in_j else b + 1, a)
-            hi = top if hi is None else min(hi, top)
+            num = b if in_j else b + 1
+            if hi is None or num * hi[1] < hi[0] * a:
+                hi = (num, a)
     if pin is not None:
-        return (lo, hi, pin) if lo < pin and (hi is None or pin < hi) else None
-    return (lo, hi, pin) if hi is None or lo < hi else None
+        if lo[0] * pin[1] < pin[0] * lo[1] and (hi is None or pin[0] * hi[1] < hi[0] * pin[1]):
+            return lo, hi, pin
+        return None
+    return (lo, hi, pin) if hi is None or lo[0] * hi[1] < hi[0] * lo[1] else None
+
+
+def _leaf_ratio(state):
+    """The r a leaf yields: the pin, else ``_between`` of the interval."""
+    lo, hi, pin = state
+    if pin is not None:
+        return Fraction(*pin)
+    return _between(Fraction(*lo), hi and Fraction(*hi))
 
 
 def _search(config: CurveConfig, fixed=None):
@@ -247,8 +277,7 @@ def _search(config: CurveConfig, fixed=None):
     def descend(alpha, I, sum_a, beta, J, sum_b, state):
         p = len(alpha)
         if p == delta:
-            lo, hi, pin = state
-            yield alpha, frozenset(I), beta, frozenset(J), _between(lo, hi) if pin is None else pin
+            yield alpha, frozenset(I), beta, frozenset(J), _leaf_ratio(state)
             return
         left = delta - 1 - p
         for a, in_i in options[p][0]:
@@ -265,17 +294,28 @@ def _search(config: CurveConfig, fixed=None):
                         alpha + (a,), locus_i, sum_a + a, beta + (b,), locus_j, sum_b + b, narrowed
                     )
 
-    return descend((), (), 0, (), (), 0, (Fraction(0), None, None))
+    return descend((), (), 0, (), (), 0, ((0, 1), None, None))
 
 
 def _witness(config: CurveConfig, alpha, I, beta, J, r):
     """Closed-form witness of a candidate the search yielded with ratio r.
 
+    ``_raw_witness`` normalized so the last coordinate is 1.
+    """
+    return _normalized(_raw_witness(config, alpha, I, beta, J, r))
+
+
+def _normalized(mu):
+    return tuple(m / mu[-1] for m in mu)
+
+
+def _raw_witness(config: CurveConfig, alpha, I, beta, J, r):
+    """The witness at its own levels, before normalization.
+
     The focus-X level is 1 and the focus-Y level is r; a side whose genus
     is zero has level 0 and puts no condition on mu.  Each mu_p is then
     level/w_p on that side's locus, and off every locus the midpoint of
     the intersection of both sides' node intervals (``_node_interval``).
-    Normalized so the last coordinate is 1.
     """
     both = ((config.g_y, Fraction(1), alpha, I), (config.g_x, r, beta, J))
     sides = [side[1:] for side in both if side[0]]
@@ -289,7 +329,33 @@ def _witness(config: CurveConfig, alpha, I, beta, J, r):
         lo = max((low for low, _ in ends), default=Fraction(0))
         hi = min((high for _, high in ends if high is not None), default=None)
         mu.append(_between(lo, hi))
-    return tuple(m / mu[-1] for m in mu)
+    return mu
+
+
+def _at_levels(config: CurveConfig, mu, alpha, I, beta, J, r) -> bool:
+    """Whether the raw witness mu carries its candidate at its own levels.
+
+    mu and r are cleared to one integer scale L.  At focus-X level L (0
+    when g_Y = 0) each alpha_p must be the integer part of L / m_p and I the
+    nodes where L is a multiple of m_p, with g_Y <= |alpha| < g_Y + |I|;
+    the mirror holds at focus-Y level r L (0 when g_X = 0) for (beta, J).
+    By the uniqueness of the numerical data this is ``stratum_of``
+    returning the candidate at those levels.
+    """
+    scaled, scale = _integer_scaled((*mu, r))
+    m = scaled[:-1]
+    sides = (
+        (config.g_y, scale if config.g_y else 0, alpha, I),
+        (config.g_x, scaled[-1] if config.g_x else 0, beta, J),
+    )
+    for genus, level, weights, locus in sides:
+        if not genus <= sum(weights) < genus + len(locus):
+            return False
+        for p, (mp, w) in enumerate(zip(m, weights)):
+            q, rem = divmod(level, mp)
+            if q != w or (rem == 0) != (p in locus):
+                return False
+    return True
 
 
 def _classify_back(config: CurveConfig, witness, alpha, I, beta, J) -> StratumData:
@@ -322,26 +388,29 @@ def enumerate_strata(config: CurveConfig, cap: int | None = None, jobs: int = 1)
 
     Every realizable candidate comes from one lazy node search
     (``_search``), gets its witness from the ratio the search found, and
-    is classified back.  Every positive rational weight vector classifies
-    onto exactly one of the returned keys.  The stored representative
-    keeps the lexicographically smallest witness found, so the result does
-    not depend on the search order.  More than ``cap`` realizable
+    is checked at its own levels (``_at_levels``).  Every positive rational
+    weight vector classifies onto exactly one of the returned keys.  The
+    stored representative keeps the lexicographically smallest witness
+    found, so the result does not depend on the search order, and only it
+    is classified back through ``stratum_of``.  More than ``cap`` realizable
     candidates raise CapExceeded as soon as the search finds one too many,
     so the cap bounds the work done.  ``jobs`` has no effect; it is
     accepted so that existing callers keep working.
     """
     cap = DEFAULT_CAP if cap is None else cap
-    by_key: dict[StratumKey, StratumData] = {}
+    kept: dict[StratumKey, tuple] = {}
     for passed, (alpha, I, beta, J, r) in enumerate(_search(config), 1):
         if passed > cap:
             raise CapExceeded(f"candidate count exceeded the cap {cap}")
-        witness = _witness(config, alpha, I, beta, J, r)
-        data = _classify_back(config, witness, alpha, I, beta, J)
-        key = stratum_key(config, data)
-        old = by_key.get(key)
-        if old is None or witness < old.witness_mu:
-            by_key[key] = data
-    return [by_key[k] for k in sorted(by_key, key=StratumKey.sort_token)]
+        mu = _raw_witness(config, alpha, I, beta, J, r)
+        if not _at_levels(config, mu, alpha, I, beta, J, r):
+            raise AssertionError("witness does not carry its candidate at its own levels")
+        witness = _normalized(mu)
+        key = make_key(config, alpha, I, beta, J)
+        old = kept.get(key)
+        if old is None or witness < old[0]:
+            kept[key] = (witness, alpha, I, beta, J)
+    return [_classify_back(config, *kept[k]) for k in sorted(kept, key=StratumKey.sort_token)]
 
 
 @dataclass(frozen=True)

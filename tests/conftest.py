@@ -1,7 +1,24 @@
-"""Shared helpers for randomized exact-arithmetic tests."""
+"""Shared helpers for randomized exact-arithmetic tests.
+
+When ``hypothesis`` is installed, its property tests run under one fixed
+profile: derandomized, a fixed example count, no deadline and no example
+database, so a run is deterministic and does not depend on earlier runs.
+"""
 
 import random
 from fractions import Fraction
+
+from limitcanon.strata import _at_levels, stratum_of
+
+try:
+    from hypothesis import settings
+except ImportError:  # the property tests skip themselves
+    pass
+else:
+    settings.register_profile(
+        "limitcanon", derandomize=True, max_examples=100, deadline=None, database=None
+    )
+    settings.load_profile("limitcanon")
 
 
 def rand_mu(rng: random.Random, delta: int, top: int = 50, integral: bool = False):
@@ -19,3 +36,17 @@ def rand_config_triple(rng: random.Random, max_delta=3, max_genus=4):
         g_y = rng.randint(0, max_genus)
         if delta > 1 or g_x * g_y > 0:
             return g_x, g_y, delta
+
+
+def level_verdicts(cfg, mu, candidate, r):
+    """The level check's and ``stratum_of``'s verdicts on mu for a candidate.
+
+    Both ask whether mu carries the candidate at the witness's levels, 1 on
+    focus X and r on focus Y (0 for a zero genus).  A node moved alone can
+    keep the data at a shifted level when it is its locus's only member;
+    such a vector is no witness at these levels, for either check.
+    """
+    s = stratum_of(cfg, mu)
+    levels = (1 if cfg.g_y else 0, r if cfg.g_x else 0)
+    classified = (s.alpha, s.I, s.beta, s.J) == candidate and (s.gamma, s.epsilon) == levels
+    return _at_levels(cfg, mu, *candidate, r), classified

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import limitcanon
+from limitcanon import grassmann, strata
 from limitcanon.cli import main, parse_q, qstr, stratum_key_from_obj
 from limitcanon.model import CurveConfig
 from limitcanon.strata import enumerate_strata, stratum_key
@@ -391,6 +392,35 @@ def test_exit_code_cap(capsys):
         ["enumerate", "--gx", "2", "--gy", "4", "--delta", "3", "--cap", "5"],
     )
     assert code == 4
+
+
+def test_exit_code_internal_check(capsys, monkeypatch):
+    # a witness that fails its level check is an internal fault: exit 5, one line
+    monkeypatch.setattr(strata, "_at_levels", lambda *args: False)
+    code, out, err = run_cli(capsys, ["enumerate", "--gx", "2", "--gy", "4", "--delta", "3"])
+    assert code == 5 and out == ""
+    assert err.startswith("error: internal check failed: witness ") and err.count("\n") == 1
+
+
+def test_exit_code_internal_check_pair_closure(tmp_path, capsys, monkeypatch):
+    # the brute-force pair sampler's coupling-case check is internal too
+    def no_case(*args):
+        raise AssertionError("support pair matches none of the coupling cases")
+
+    monkeypatch.setattr(grassmann, "_pair_recipe_cochar", no_case)
+    payload = {
+        "V": {"basis": [["1", "1"]]},
+        "W": {"basis": [["1", "2"]]},
+        "I": ["p", "q"],
+        "J": ["p", "q"],
+        "alpha_tilde": 1,
+        "beta_tilde": 2,
+    }
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run_cli(capsys, ["orbit-closure", "--input", str(path), "--brute-force"])
+    assert code == 5 and out == ""
+    assert err == "error: internal check failed: support pair matches none of the coupling cases\n"
 
 
 @pytest.mark.parametrize("command", ["enumerate", "poset", "components"])

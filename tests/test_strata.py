@@ -8,11 +8,14 @@ from math import gcd
 
 import pytest
 
-from conftest import rand_config_triple, rand_mu
+from conftest import level_verdicts, rand_config_triple, rand_mu
 from fm import joint_witness
+from limitcanon import strata
 from limitcanon.model import CurveConfig
 from limitcanon.strata import (
     CapExceeded,
+    _node_interval,
+    _raw_witness,
     _search,
     _witness,
     enumerate_strata,
@@ -275,3 +278,55 @@ def test_search_matches_brute_force_fm_oracle():
         for alpha, I, beta, J, r in found:
             s = stratum_of(cfg, _witness(cfg, alpha, I, beta, J, r))
             assert (s.alpha, s.I, s.beta, s.J) == (alpha, I, beta, J)
+
+
+def _perturbations(cfg, mu, candidate, r):
+    """mu with one node moved to, just inside or just across an end of an interval.
+
+    On a side with positive genus a node's ends are level/(w_p+1) and
+    level/w_p: a node on its locus sits at the upper end and moves off it;
+    a node off its locus moves inside its node interval, onto a locus at an
+    end, or across the end.
+    """
+    alpha, _, beta, _ = candidate
+    sides = [(level, w) for genus, level, w in ((cfg.g_y, 1, alpha), (cfg.g_x, r, beta)) if genus]
+    for p in range(cfg.delta):
+        for level, w in sides:
+            for end in _node_interval(level, w[p]):
+                if end is None:
+                    continue
+                for value in (end * Fraction(63, 64), end, end * Fraction(65, 64)):
+                    if value != mu[p]:
+                        yield mu[:p] + [value] + mu[p + 1 :]
+
+
+PERTURB_CONFIGS = [(2, 4, 2), (3, 3, 2), (0, 4, 2), (2, 4, 3), (1, 3, 3), (3, 0, 3), (1, 2, 4), (2, 0, 4)]
+
+
+def test_level_check_agrees_with_stratum_of_on_perturbed_witnesses():
+    tally = {}
+    for triple in PERTURB_CONFIGS:
+        cfg = CurveConfig(*triple)
+        for alpha, I, beta, J, r in _search(cfg):
+            candidate = (alpha, I, beta, J)
+            mu = _raw_witness(cfg, *candidate, r)
+            assert level_verdicts(cfg, mu, candidate, r) == (True, True), (triple, candidate)
+            for moved in _perturbations(cfg, mu, candidate, r):
+                fast, slow = level_verdicts(cfg, moved, candidate, r)
+                assert fast == slow, (triple, candidate, moved)
+                tally[fast] = tally.get(fast, 0) + 1
+    assert tally[True] > 500 and tally[False] > 2000, tally
+
+
+@pytest.mark.parametrize("triple", [(2, 4, 3), (3, 5, 4), (4, 0, 4)])
+def test_enumerate_classifies_only_the_kept_representatives(monkeypatch, triple):
+    # stratum_of runs once per returned stratum, on its witness, and on no other candidate
+    seen = []
+
+    def counting(config, mu):
+        seen.append(tuple(mu))
+        return stratum_of(config, mu)
+
+    monkeypatch.setattr(strata, "stratum_of", counting)
+    found = enumerate_strata(CurveConfig(*triple))
+    assert seen == [s.witness_mu for s in found]
