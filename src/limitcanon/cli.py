@@ -42,7 +42,10 @@ def qstr(x) -> str:
 
 
 def parse_q(text: str) -> Fraction:
-    return Fraction(text.strip())
+    try:
+        return Fraction(text.strip())
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in '{text}'") from None
 
 
 def parse_mu(text: str):

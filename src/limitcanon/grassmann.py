@@ -6,7 +6,24 @@ whose closure decomposes into orbits of the degenerate subspaces
     V_T = k_first + (k_middle  intersect  (V + k_last))
 
 over ordered tripartitions T = (first, middle, last) of the coordinate set
-with |first| < dim V <= n - |last|.  Orbits are identified here by
+with |first| < dim V <= n - |last| (a point, dim V = 0, is fixed by the
+torus and its closure is its own orbit).
+
+V_T is the limit of V under the one-parameter subgroup with weights -1 on
+first, 0 on middle and +1 on last.  Because every Pluecker coordinate of V
+is nonzero (the general-position condition, checked on every call), the
+lowest weight is taken exactly on the interval support
+
+    S(T) = {b : first <= b <= first + middle},
+
+so the Pluecker vector of V_T is V's own restricted to S(T) (Gelfand,
+Goresky, MacPherson and Serganova, 1987).  Closure sets are
+therefore read off one Pluecker vector by masking, without computing any
+V_T; the relation lattice of each S(T) depends on (n, dim V) alone and is
+computed once per shape.  ``tripartition_degenerate`` builds V_T by linear
+algebra for callers that want the subspace itself.
+
+Orbits are identified here by
 *fingerprints*: the Pluecker support pattern together with the values of a
 canonical basis of torus-invariant ratio monomials (the relation lattice of
 the support's exponent differences).  Fingerprint equality decides orbit
@@ -30,9 +47,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, product
 
 from .linalg import (
+    _integer_scaled,
     hnf_rows,
     maximal_minors,
     monomial_system_solvable,
@@ -136,11 +155,16 @@ class PairFingerprint:
 
 
 def pluecker(V: Subspace) -> PlueckerVector:
-    """Pluecker coordinates of the canonical basis, normalized projectively."""
+    """Pluecker coordinates of the canonical basis, normalized projectively.
+
+    Each row is cleared of denominators first: that multiplies every
+    maximal minor by the same factor, which the normalization removes, and
+    leaves integer determinants.
+    """
     _desk_guard(V.ambient, V.dim)
     if V.dim == 0:
         return PlueckerVector(V.ambient, 0, (Fraction(1),))
-    minors = maximal_minors(V.rows, V.ambient)
+    minors = maximal_minors([_integer_scaled(row)[0] for row in V.rows], V.ambient)
     values = [v for _, v in minors]
     scale = next(v for v in values if v != 0)
     return PlueckerVector(V.ambient, V.dim, tuple(v / scale for v in values))
@@ -220,27 +244,34 @@ def _vec(cols, n):
     return tuple(1 if i in cols else 0 for i in range(n))
 
 
-def _characters(pv: PlueckerVector, width: int, offset: int = 0, reference=None):
-    """Torus characters and coordinate ratios of pv's support.
-
-    Each support member b after the first, base, gives the exponent
-    difference e_b - e_base (placed at ``offset`` in a row of ``width``
-    entries) and the ratio pv_b / pv_base, divided by the same ratio of
-    ``reference`` when one is given.
-    """
-    live = [(b, c) for b, c in zip(pv.subsets(), pv.coords) if c != 0]
-    (base, base_c), rest = live[0], live[1:]
-    ref = None if reference is None else dict(zip(reference.subsets(), reference.coords))
-    chars, values = [], []
-    for b, c in rest:
+def _support_characters(supp, width: int, offset: int = 0):
+    """Torus characters of a support: for each member b after the first,
+    base, the exponent difference e_b - e_base, placed at ``offset`` in a
+    row of ``width`` entries."""
+    base = supp[0]
+    chars = []
+    for b in supp[1:]:
         row = [0] * width
         for i in b:
             row[offset + i] += 1
         for i in base:
             row[offset + i] -= 1
         chars.append(tuple(row))
-        values.append(c / base_c if ref is None else (c / base_c) / (ref[b] / ref[base]))
-    return chars, values
+    return chars
+
+
+def _characters(pv: PlueckerVector, width: int, offset: int = 0, reference=None):
+    """Torus characters and coordinate ratios of pv's support.
+
+    The characters are ``_support_characters``; each comes with the ratio
+    pv_b / pv_base, divided by the same ratio of ``reference`` when one is
+    given.
+    """
+    live = [(b, c) for b, c in zip(pv.subsets(), pv.coords) if c != 0]
+    (base, base_c), rest = live[0], live[1:]
+    ref = None if reference is None else dict(zip(reference.subsets(), reference.coords))
+    values = [c / base_c if ref is None else (c / base_c) / (ref[b] / ref[base]) for b, c in rest]
+    return _support_characters([b for b, _ in live], width, offset), values
 
 
 def orbit_fingerprint(pv: PlueckerVector) -> OrbitFingerprint:
@@ -258,18 +289,55 @@ def _require_general_position(pv: PlueckerVector):
 
 
 def _qualifying(n: int, h: int):
-    """Tripartitions of range(n) with |first| < h <= n - |last|."""
+    """Tripartitions of range(n) with |first| < h <= n - |last|.
+
+    A point (h = 0) is fixed by the torus, so its closure is its own orbit:
+    it gets the one tripartition (empty, empty, everything) its support
+    reads, whose degenerate subspace is the point itself.
+    """
+    if h == 0:
+        return [Tripartition(frozenset(), frozenset(), frozenset(range(n)))]
     return [t for t in tripartitions(range(n)) if len(t.first) < h <= n - len(t.last)]
 
 
+def _interval_support(tri: Tripartition, n: int, h: int):
+    """S(T): the h-subsets b with first <= b <= first + middle, in
+    lexicographic order."""
+    low, high = tri.first, tri.first | tri.middle
+    return tuple(b for b in combinations(range(n), h) if low <= frozenset(b) <= high)
+
+
+@lru_cache(maxsize=None)
+def _closure_shapes(n: int, h: int):
+    """For each distinct S(T) over the qualifying tripartitions T: the
+    support, the positions of its members among the h-subsets, and the
+    relation lattice of its torus characters.  Depends on (n, h) only; the
+    desk guard keeps the cache to a few dozen immutable entries."""
+    position = {b: k for k, b in enumerate(combinations(range(n), h))}
+    shapes = {}
+    for tri in _qualifying(n, h):
+        supp = _interval_support(tri, n, h)
+        if supp not in shapes:
+            relations = tuple(relation_lattice(_support_characters(supp, n)))
+            shapes[supp] = (tuple(position[b] for b in supp), relations)
+    return tuple((supp, positions, relations) for supp, (positions, relations) in shapes.items())
+
+
 def closure_orbit_set(V: Subspace):
-    """Fingerprints of every orbit in the closure of the torus orbit of V."""
+    """Fingerprints of every orbit in the closure of the torus orbit of V.
+
+    Each orbit is that of V_T, whose Pluecker vector is V's restricted to
+    S(T); its invariants are the lattice's products of V's ratios.
+    """
     _desk_guard(V.ambient, V.dim)
-    _require_general_position(pluecker(V))
-    return frozenset(
-        orbit_fingerprint(pluecker(tripartition_degenerate(V, tri)))
-        for tri in _qualifying(V.ambient, V.dim)
-    )
+    pv = pluecker(V)
+    _require_general_position(pv)
+    out = set()
+    for supp, positions, relations in _closure_shapes(V.ambient, V.dim):
+        base = pv.coords[positions[0]]
+        values = [pv.coords[k] / base for k in positions[1:]]
+        out.add(OrbitFingerprint(supp, tuple(power_product(values, rel) for rel in relations)))
+    return frozenset(out)
 
 
 def _support_parts(supp, n: int):
@@ -397,12 +465,13 @@ def _compatible_pairs(V: Subspace, W: Subspace, I, J):
 
 
 def pair_closure_orbit_set(V: Subspace, W: Subspace, alpha_tilde: int, beta_tilde: int, I, J):
-    """Fingerprints of all orbit pairs in the closure of the coupled orbit."""
-    _, _, I, J, shared, pos_i, pos_j = _pair_setup(V, W, alpha_tilde, beta_tilde, I, J)
+    """Fingerprints of all orbit pairs in the closure of the coupled orbit:
+    V and W restricted to S(ti) and S(tj) for each compatible pair."""
+    pv, qw, I, J, shared, pos_i, pos_j = _pair_setup(V, W, alpha_tilde, beta_tilde, I, J)
     return frozenset(
         _pair_fingerprint_from(
-            pluecker(tripartition_degenerate(V, ti)),
-            pluecker(tripartition_degenerate(W, tj)),
+            _masked(pv, _interval_support(ti, V.ambient, V.dim)),
+            _masked(qw, _interval_support(tj, W.ambient, W.dim)),
             alpha_tilde, beta_tilde, I, J, shared, pos_i, pos_j,
         )
         for ti, tj in _compatible_pairs(V, W, I, J)

@@ -3,13 +3,15 @@
 Everything works with ``fractions.Fraction`` (or int) entries; floating
 point is never used.  Matrices are sequences of row tuples.  The sizes in
 this package are tiny (ambient dimension at most 6 or 7), so the plain
-O(n^3) algorithms are fine.
+O(n^3) algorithms are fine.  Determinants clear each row's denominators
+and eliminate fraction-free (Bareiss) in integers.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from math import lcm, prod
 
 
 def rref(rows, ncols=None):
@@ -60,30 +62,42 @@ def nullspace(rows, ncols):
     return basis
 
 
-def det(rows):
-    """Determinant by fraction Gaussian elimination."""
-    n = len(rows)
-    mat = [[Fraction(x) for x in row] for row in rows]
-    sign = 1
-    for c in range(n):
-        pivot = None
-        for i in range(c, n):
-            if mat[i][c] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            return Fraction(0)
-        if pivot != c:
-            mat[c], mat[pivot] = mat[pivot], mat[c]
+def _integer_scaled(values):
+    """Return (m, t) with m = t*values integral and t a positive integer,
+    the lcm of the denominators."""
+    t = lcm(*(f.denominator for f in values)) if len(values) > 1 else values[0].denominator
+    return [f.numerator * (t // f.denominator) for f in values], t
+
+
+def _bareiss(mat):
+    """Determinant of a square integer matrix by fraction-free elimination.
+
+    Every division is exact (Sylvester's identity), so all intermediate
+    entries stay integers; ``mat`` is overwritten.
+    """
+    n = len(mat)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if mat[k][k] == 0:
+            pivot = next((i for i in range(k + 1, n) if mat[i][k] != 0), None)
+            if pivot is None:
+                return 0
+            mat[k], mat[pivot] = mat[pivot], mat[k]
             sign = -sign
-        for i in range(c + 1, n):
-            if mat[i][c] != 0:
-                f = mat[i][c] / mat[c][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[c])]
-    result = Fraction(sign)
-    for i in range(n):
-        result *= mat[i][i]
-    return result
+        pk, row_k = mat[k][k], mat[k]
+        for i in range(k + 1, n):
+            row_i = mat[i]
+            f = row_i[k]
+            for j in range(k + 1, n):
+                row_i[j] = (row_i[j] * pk - f * row_k[j]) // prev
+        prev = pk
+    return sign * mat[n - 1][n - 1] if n else 1
+
+
+def det(rows):
+    """Exact determinant: each row cleared of denominators, then Bareiss."""
+    scaled = [_integer_scaled(row) for row in rows]
+    return Fraction(_bareiss([m for m, _ in scaled]), prod(t for _, t in scaled))
 
 
 def maximal_minors(rows, ncols):
@@ -92,12 +106,10 @@ def maximal_minors(rows, ncols):
     Returns a list of ``(columns, value)`` with column subsets in
     lexicographic order.
     """
-    h = len(rows)
-    out = []
-    for cols in combinations(range(ncols), h):
-        sub = [[row[c] for c in cols] for row in rows]
-        out.append((cols, det(sub)))
-    return out
+    return [
+        (cols, det([[row[c] for c in cols] for row in rows]))
+        for cols in combinations(range(ncols), len(rows))
+    ]
 
 
 def _col_addmul(mat, u, j, j0, q):

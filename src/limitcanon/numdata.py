@@ -35,7 +35,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+
+from .linalg import _integer_scaled
 
 
 @dataclass(frozen=True)
@@ -59,12 +60,6 @@ def _clean_mu(mu):
     if any(m <= 0 for m in entries):
         raise ValueError("all mu entries must be positive")
     return entries
-
-
-def _integer_scaled(mu):
-    """Return (m, t) with m = t*mu integral and t a positive integer."""
-    t = lcm(*(f.denominator for f in mu)) if len(mu) > 1 else mu[0].denominator
-    return [f.numerator * (t // f.denominator) for f in mu], t
 
 
 def _data_from_breakpoint(m, t, c):

@@ -35,7 +35,7 @@ from itertools import combinations
 from math import comb, gcd
 
 from .model import CurveConfig
-from .numdata import _integer_scaled
+from .linalg import _integer_scaled
 from .strata import StratumData, StratumKey, enumerate_strata, stratum_dim, stratum_key, stratum_of
 from .tripartitions import Tripartition, pair_compatible
 

@@ -44,7 +44,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .model import CurveConfig
-from .numdata import _breakpoint, _clean_mu, _data_from_breakpoint, _integer_scaled
+from .linalg import _integer_scaled
+from .numdata import _breakpoint, _clean_mu, _data_from_breakpoint
 
 DEFAULT_CAP = 1_000_000
 

@@ -7,8 +7,11 @@ pair follows on the shared nodes, and ``direction_probes`` builds, for
 every compatible pair, a perturbation of the witness that lands in the
 pair's stratum: the constructive cross-check of ``poset.closure_of``.
 Beside them sit the binomial orbit-closure equations, the standard
-one-parameter subgroup of a tripartition, the base-change terms between
-the two Weierstrass presentations and the fiber divisor of a model.
+one-parameter subgroup of a tripartition, the closure sets computed the
+slow way (each degenerate subspace by linear algebra, the pair
+fingerprints from their own coupling lattice), minors by Fraction
+Gaussian elimination, the base-change terms between the two Weierstrass
+presentations and the fiber divisor of a model.
 
 Only public names of ``limitcanon`` are imported, so these checks do not
 share the library's private helpers.
@@ -17,11 +20,18 @@ share the library's private helpers.
 from fractions import Fraction
 from itertools import combinations
 
-from limitcanon.grassmann import OnePSG
+from limitcanon.grassmann import (
+    OnePSG,
+    PairFingerprint,
+    orbit_fingerprint,
+    pluecker,
+    tripartition_degenerate,
+)
+from limitcanon.linalg import hnf_rows, power_product, relation_lattice
 from limitcanon.model import DivisorOnModel
 from limitcanon.poset import neighborhood_radius
 from limitcanon.strata import make_key, stratum_key
-from limitcanon.tripartitions import pair_compatible, tripartitions
+from limitcanon.tripartitions import Tripartition, pair_compatible, tripartitions
 
 # ---------------------------------------------------------------------------
 # pairwise closure rules
@@ -145,6 +155,96 @@ def psg_for_tripartition(tri, n):
     for p in tri.last:
         exps[p] = 1
     return OnePSG(tuple(exps), tuple(Fraction(1) for _ in range(n)))
+
+
+def fraction_det(rows):
+    """Determinant by Gaussian elimination over the rationals."""
+    n = len(rows)
+    mat = [[Fraction(x) for x in row] for row in rows]
+    sign = 1
+    for c in range(n):
+        pivot = next((i for i in range(c, n) if mat[i][c] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != c:
+            mat[c], mat[pivot] = mat[pivot], mat[c]
+            sign = -sign
+        for i in range(c + 1, n):
+            f = mat[i][c] / mat[c][c]
+            mat[i] = [a - f * b for a, b in zip(mat[i], mat[c])]
+    result = Fraction(sign)
+    for i in range(n):
+        result *= mat[i][i]
+    return result
+
+
+def fraction_minors(rows, ncols):
+    """All maximal minors by ``fraction_det``, in lexicographic column order."""
+    return [
+        fraction_det([[row[c] for c in cols] for row in rows])
+        for cols in combinations(range(ncols), len(rows))
+    ]
+
+
+def _qualifying(n, h):
+    return [t for t in tripartitions(range(n)) if len(t.first) < h <= n - len(t.last)]
+
+
+def degenerate_closure_orbit_set(V):
+    """The closure set from the degenerate subspaces V_T themselves."""
+    return frozenset(
+        orbit_fingerprint(pluecker(tripartition_degenerate(V, tri)))
+        for tri in _qualifying(V.ambient, V.dim)
+    )
+
+
+def _ratios(pv, width, offset):
+    """Characters e_b - e_base (at ``offset`` in rows of ``width``) and
+    ratios pv_b / pv_base, base the first member of the support."""
+    live = [(b, c) for b, c in zip(pv.subsets(), pv.coords) if c != 0]
+    base, c0 = live[0]
+    chars = [
+        tuple((i - offset in b) - (i - offset in base) for i in range(width)) for b, _ in live[1:]
+    ]
+    return chars, [c / c0 for _, c in live[1:]]
+
+
+def _pair_fingerprint(pv, qw, lam, tau, I, J):
+    """Support pair plus the values of a canonical basis of the integer
+    relations among both supports' characters modulo the characters that
+    vanish on the coupling torus (one for every pair of shared nodes)."""
+    ni = len(I)
+    chars_v, values_v = _ratios(pv, ni + len(J), 0)
+    chars_w, values_w = _ratios(qw, ni + len(J), ni)
+    chars = chars_v + chars_w
+    torus = []
+    for l0, l in combinations(sorted(set(I) & set(J)), 2):
+        row = [0] * (ni + len(J))
+        row[I.index(l)], row[I.index(l0)] = tau, -tau
+        row[ni + J.index(l)], row[ni + J.index(l0)] = -lam, lam
+        torus.append(tuple(row))
+    relations = relation_lattice(chars + torus)
+    basis = hnf_rows([rel[: len(chars)] for rel in relations])
+    invariants = tuple(power_product(values_v + values_w, rel) for rel in basis)
+    return PairFingerprint(pv.support(), qw.support(), invariants)
+
+
+def degenerate_pair_closure_orbit_set(V, W, lam, tau, I, J):
+    """The coupled closure set from the degenerate subspaces of every
+    compatible pair of qualifying tripartitions."""
+    I, J = tuple(I), tuple(J)
+    out = set()
+    for ti in _qualifying(V.ambient, V.dim):
+        for tj in _qualifying(W.ambient, W.dim):
+            if pair_compatible(_labelled(ti, I), _labelled(tj, J), set(I), set(J)):
+                pv = pluecker(tripartition_degenerate(V, ti))
+                qw = pluecker(tripartition_degenerate(W, tj))
+                out.add(_pair_fingerprint(pv, qw, lam, tau, I, J))
+    return frozenset(out)
+
+
+def _labelled(tri, labels):
+    return Tripartition(*(frozenset(labels[p] for p in part) for part in (tri.first, tri.middle, tri.last)))
 
 
 def base_change_terms(config, s):

@@ -173,6 +173,32 @@ def test_orbit_closure_pair_command(tmp_path, capsys):
     assert obj["brute_force"]["all_predicted_reached"]
 
 
+def test_orbit_closure_of_a_point(tmp_path, capsys):
+    path = tmp_path / "point.json"
+    path.write_text(json.dumps({"basis": [], "ambient": 3}))
+    code, out, _ = run_cli(capsys, ["orbit-closure", "--input", str(path), "--brute-force"])
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["dim"] == 0
+    assert obj["fingerprints"] == [{"support": [[]], "invariants": []}]
+    assert obj["brute_force"]["all_sampled_in_predicted"]
+    assert obj["brute_force"]["all_predicted_reached"]
+
+
+def test_zero_denominator_in_mu(capsys):
+    code, out, err = run_cli(capsys, ["stratum", "--gx", "2", "--gy", "2", "--mu", "1/0,1"])
+    assert code == 3 and out == ""
+    assert err == "error: zero denominator in '1/0'\n"
+
+
+def test_zero_denominator_in_basis(tmp_path, capsys):
+    path = tmp_path / "subspace.json"
+    path.write_text(json.dumps({"basis": [["1/0", "1"]]}))
+    code, out, err = run_cli(capsys, ["orbit-closure", "--input", str(path)])
+    assert code == 3 and out == ""
+    assert err == "error: zero denominator in '1/0'\n"
+
+
 @pytest.mark.parametrize(
     "payload",
     [

@@ -19,7 +19,13 @@ from limitcanon.grassmann import (
     tripartition_degenerate,
 )
 from limitcanon.tripartitions import Tripartition, tripartitions
-from oracles import psg_for_tripartition, satisfies_orbit_quadrics
+from oracles import (
+    degenerate_closure_orbit_set,
+    degenerate_pair_closure_orbit_set,
+    fraction_minors,
+    psg_for_tripartition,
+    satisfies_orbit_quadrics,
+)
 
 
 def rand_general_subspace(rng, n, h):
@@ -27,7 +33,7 @@ def rand_general_subspace(rng, n, h):
     while True:
         basis = [[Fraction(rng.randint(-6, 6)) for _ in range(n)] for _ in range(h)]
         try:
-            V = Subspace(basis)
+            V = Subspace(basis, ambient=n)
         except ValueError:
             continue
         if all(c != 0 for c in pluecker(V).coords):
@@ -41,6 +47,32 @@ def torus_scale(V, scalars):
 def test_pluecker_basics():
     assert pluecker(Subspace([[1, 0]])).coords == (Fraction(1), Fraction(0))
     assert pluecker(Subspace([[1, 1, 1]])).coords == (Fraction(1),) * 3
+
+
+def test_pluecker_matches_fraction_elimination():
+    # non-integral and negative entries; repeated and zero columns give zero minors
+    rng = random.Random(808)
+    zeros = 0
+    for _ in range(60):
+        n = rng.randint(1, 6)
+        h = rng.randint(1, min(n, 4))
+        basis = [
+            [Fraction(rng.randint(-9, 9), rng.randint(1, 12)) for _ in range(n)] for _ in range(h)
+        ]
+        if n > h and rng.random() < 0.5:
+            a, b = rng.sample(range(n), 2)
+            repeat = rng.random() < 0.5
+            for row in basis:
+                row[a] = row[b] if repeat else Fraction(0)
+        try:
+            V = Subspace(basis)
+        except ValueError:
+            continue
+        minors = fraction_minors(V.rows, n)
+        scale = next(m for m in minors if m != 0)
+        assert pluecker(V).coords == tuple(m / scale for m in minors)
+        zeros += minors.count(0)
+    assert zeros > 0
 
 
 def test_pluecker_three_term_relation():
@@ -84,6 +116,47 @@ def test_degeneration_consistency_randomized():
             limit = limit_pluecker(V, psg_for_tripartition(tri, n))
             direct = pluecker(tripartition_degenerate(V, tri))
             assert limit == direct
+
+
+def test_closure_contains_the_open_orbit_in_every_dimension():
+    rng = random.Random(909)
+    for n in range(1, 7):
+        for h in range(min(n, 4) + 1):
+            V = rand_general_subspace(rng, n, h)
+            assert orbit_fingerprint(pluecker(V)) in closure_orbit_set(V)
+    # a point is fixed by the torus: its closure is its own orbit
+    point = Subspace([], ambient=3)
+    assert closure_orbit_set(point) == {orbit_fingerprint(pluecker(point))}
+
+
+def test_closure_sets_match_the_degenerate_subspaces():
+    rng = random.Random(4)
+    for n in range(1, 7):
+        for h in range(1, min(n, 4) + 1):
+            V = rand_general_subspace(rng, n, h)
+            expected = degenerate_closure_orbit_set(V)
+            assert closure_orbit_set(V) == expected
+            scal = [Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9)) for _ in range(n)]
+            assert closure_orbit_set(torus_scale(V, scal)) == expected
+
+
+# the coupled cases of the benchmark's orbit workload: (I, J, dim V, dim W)
+WORKLOAD_PAIR_CASES = (
+    (("p", "q"), ("p", "q"), 1, 1),
+    (("p", "q", "r"), ("q", "r"), 2, 1),
+    (("p", "q", "r"), ("p", "q", "r"), 2, 2),
+    (("p", "q"), ("q", "r"), 1, 2),
+)
+
+
+@pytest.mark.parametrize("a_t,b_t", [(1, 1), (1, 2), (2, 3)])
+def test_pair_closure_sets_match_the_degenerate_subspaces(a_t, b_t):
+    rng = random.Random(2000 + a_t * 10 + b_t)
+    for I, J, h1, h2 in WORKLOAD_PAIR_CASES:
+        V = rand_general_subspace(rng, len(I), h1)
+        W = rand_general_subspace(rng, len(J), h2)
+        expected = degenerate_pair_closure_orbit_set(V, W, a_t, b_t, I, J)
+        assert pair_closure_orbit_set(V, W, a_t, b_t, I, J) == expected
 
 
 def test_closure_orbit_set_examples():
@@ -228,6 +301,9 @@ def test_pair_brute_force_protocol(a_t, b_t):
         (("p", "q", "r"), ("q", "r"), 1, 1),
         (("p", "q", "r"), ("p", "q", "r"), 2, 2),
         (("p", "q"), ("q", "r"), 1, 1),
+        # a point factor: the product of its orbit with W's closure
+        (("p", "q", "r"), ("q", "r"), 0, 1),
+        (("p", "q"), ("p", "q", "r"), 2, 0),
     ]
     for I, J, h1, h2 in cases:
         V = rand_general_subspace(rng, len(I), h1)

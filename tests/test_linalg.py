@@ -14,6 +14,7 @@ from limitcanon.linalg import (
     relation_lattice,
     rref,
 )
+from oracles import fraction_det, fraction_minors
 
 
 def test_rref_and_nullspace():
@@ -31,6 +32,20 @@ def test_det_and_minors():
     assert det([[1, 2], [2, 4]]) == 0
     minors = dict(maximal_minors([[1, 0, 2], [0, 1, 3]], 3))
     assert minors[(0, 1)] == 1 and minors[(0, 2)] == 3 and minors[(1, 2)] == -2
+
+
+def test_integer_minors_match_fraction_elimination():
+    # non-integral and negative entries; a repeated row gives zero minors
+    rng = random.Random(31)
+    for _ in range(80):
+        h, n = rng.randint(1, 4), rng.randint(1, 6)
+        rows = [[Fraction(rng.randint(-9, 9), rng.randint(1, 12)) for _ in range(n)] for _ in range(h)]
+        if h > 1 and rng.random() < 0.3:
+            rows[-1] = [2 * x for x in rows[0]]
+        assert [v for _, v in maximal_minors(rows, n)] == fraction_minors(rows, n)
+        if n >= h:
+            square = [row[:h] for row in rows]
+            assert det(square) == fraction_det(square)
 
 
 def test_integer_kernel_is_saturated():
