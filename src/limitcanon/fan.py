@@ -66,8 +66,10 @@ def _cell_segment(weights, locus, box):
         return tuple((Fraction(c) / w0, Fraction(c) / w1) for c in (w2, top))
     p = min(locus)
     fixed = Fraction(weights[2], weights[p])
-    lo, hi = _node_interval(weights[2], weights[1 - p])
-    hi = box if hi is None else min(hi, box)
+    w = weights[1 - p]
+    scale = w * (w + 1) or 1  # w and w + 1 divide the scaled level
+    lo, hi = _node_interval(weights[2] * scale, w)
+    lo, hi = Fraction(lo, scale), box if hi is None else min(Fraction(hi, scale), box)
     if fixed > box or lo >= hi:
         return None
     # endpoint order of the figure: u1 rising when p = 0, u0 falling when p = 1

@@ -54,7 +54,7 @@ class NumericalData:
 
 
 def _clean_mu(mu):
-    entries = tuple(Fraction(m) for m in mu)
+    entries = tuple(m if type(m) is Fraction else Fraction(m) for m in mu)
     if not entries:
         raise ValueError("the index set must be nonempty")
     if any(m <= 0 for m in entries):
@@ -62,10 +62,14 @@ def _clean_mu(mu):
     return entries
 
 
+def _pattern(m, c):
+    """The integer parts of c / m_p and the nodes where c is a multiple of m_p."""
+    return tuple(c // mp for mp in m), frozenset(p for p, mp in enumerate(m) if c % mp == 0)
+
+
 def _data_from_breakpoint(m, t, c):
-    alpha = tuple(c // mp for mp in m)
+    alpha, members = _pattern(m, c)
     rho = tuple(Fraction(mp * (a + 1) - c, t) for mp, a in zip(m, alpha))
-    members = frozenset(p for p, mp in enumerate(m) if c % mp == 0)
     return NumericalData(alpha, rho, members, Fraction(c, t))
 
 

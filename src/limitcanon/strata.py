@@ -19,33 +19,39 @@ rational system
 has a solution.  Once the ratio r = d/c of the two levels is fixed, the
 system splits into one condition per node, so one depth-first search over
 the nodes (``_search``) finds every realizable candidate with a feasible
-r, and its witness is written down directly: c = 1, d = r, mu_p pinned on
-the loci and the midpoint of its node interval ``_node_interval(level,
-w_p)``, level/(w_p+1) < mu_p < level/w_p, elsewhere (normalized so the
-last coordinate is 1); the fan figure reads the same interval.  A zero
-genus puts its side's level at 0, which leaves no condition on mu.  The
-search keeps its r-interval as integer (numerator, denominator) pairs.
+r, an integer pair (rn, rd): the pin of its r-interval, else the midpoint
+(lo + 1 when unbounded, so 1 when a genus is zero).
 
-Every witness is checked at its own levels, in integers (``_at_levels``):
-cleared to one integer scale, its floor and divisibility pattern at level
-1 (focus X) and r (focus Y) must be the candidate's, within the window
-g <= total < g + |locus|.  The numerical data at a target is unique and its
-level is the one breakpoint of the ``numdata`` docstring, so this holds
-exactly when ``stratum_of`` classifies the witness back onto its
-candidate; the representative kept per key is then classified by
-``stratum_of``, whose data the output carries.  The test suite keeps a
-Fourier-Motzkin solver of the joint system and a brute-force candidate
-product as independent oracles.
+Scaling mu by t > 0 keeps the data and scales the levels, so a witness
+lives on one integer scale (``_witness``): with D = 2 lcm(1 .. max(g_X,
+g_Y) + 1) the levels are c = rd D and d = rn D (0 for a zero genus, which
+leaves no condition on mu), each node interval ``_node_interval(level,
+w_p)``, level/(w_p+1) < mu_p < level/w_p, has integer ends, and mu_p is
+level/w_p on a locus and the midpoint of the intersected intervals
+elsewhere (the low end plus rd D when unbounded); the fan figure reads the
+same interval.  Each witness is checked at these levels (``_at_levels``):
+its floor and divisibility pattern at c (focus X) and d (focus Y) must be
+the candidate's, within the window g <= total < g + |locus|.  The
+numerical data at a target is unique and its level is the one breakpoint
+of the ``numdata`` docstring, so this holds exactly when ``stratum_of``
+classifies the witness back onto its candidate.  Witnesses of one key are
+compared by cross-products (m_i m'_last against m'_i m_last); only the
+representative kept per key becomes Fractions m_i / m_last, classified by
+``stratum_of``, whose data the output carries.  The test suite keeps the
+Fraction witness builder, a Fourier-Motzkin solver of the joint system and
+a brute-force candidate product as independent oracles.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import index
 
 from .model import CurveConfig
 from .linalg import _integer_scaled
-from .numdata import _breakpoint, _clean_mu, _data_from_breakpoint
+from .numdata import _breakpoint, _clean_mu, _data_from_breakpoint, _pattern
 
 DEFAULT_CAP = 1_000_000
 
@@ -98,27 +104,29 @@ def stratum_of(config: CurveConfig, mu) -> StratumData:
     """Classify a positive rational weight vector.
 
     mu is cleared to integers once; both foci read their data off the
-    breakpoint of that one integer vector (``numdata._breakpoint``).
+    breakpoint of that one integer vector (``numdata._breakpoint``), and
+    sigma and the level ratio come straight from the two breakpoints.
     """
     mu = tuple(mu)
     if len(mu) != config.delta:
         raise ValueError("mu length must equal delta")
     mu = _clean_mu(mu)
     m, t = _integer_scaled(mu)
-    data_x = _data_from_breakpoint(m, t, _breakpoint(m, config.g_y))
-    data_y = _data_from_breakpoint(m, t, _breakpoint(m, config.g_x))
-    sigma = tuple(m - r for m, r in zip(mu, data_y.rho))
+    c_x, c_y = _breakpoint(m, config.g_y), _breakpoint(m, config.g_x)
+    data_x = _data_from_breakpoint(m, t, c_x)
+    beta, J = _pattern(m, c_y)
+    sigma = tuple(Fraction(c_y - mp * b, t) for mp, b in zip(m, beta))
     alpha_tilde = beta_tilde = None
     if config.g_x > 0 and config.g_y > 0:
-        ratio = data_x.level / data_y.level
+        ratio = Fraction(c_x, c_y)
         alpha_tilde, beta_tilde = ratio.numerator, ratio.denominator
     return StratumData(
         alpha=data_x.alpha,
         I=data_x.I,
-        beta=data_y.alpha,
-        J=data_y.I,
+        beta=beta,
+        J=J,
         gamma=data_x.level,
-        epsilon=data_y.level,
+        epsilon=Fraction(c_y, t),
         alpha_tilde=alpha_tilde,
         beta_tilde=beta_tilde,
         witness_mu=mu,
@@ -165,7 +173,10 @@ def stratum_dim(config: CurveConfig, s) -> dict:
 
 def _validate_candidate(config, alpha, I, beta, J):
     delta = config.delta
-    alpha, beta = tuple(int(a) for a in alpha), tuple(int(b) for b in beta)
+    try:
+        alpha, beta = tuple(map(index, alpha)), tuple(map(index, beta))
+    except TypeError:
+        raise ValueError("alpha and beta entries must be integers") from None
     I, J = frozenset(I), frozenset(J)
     if len(alpha) != delta or len(beta) != delta:
         raise ValueError("alpha/beta length must equal delta")
@@ -190,19 +201,14 @@ def _validate_candidate(config, alpha, I, beta, J):
     return alpha, I, beta, J
 
 
-def _between(lo, hi):
-    """A point of the open interval (lo, hi); hi None means unbounded."""
-    return lo + 1 if hi is None else (lo + hi) / 2
-
-
 def _node_interval(level, w):
     """Open interval of mu_p off the locus: level/(w+1) < mu_p < level/w.
 
     The node's weight w puts the level strictly between mu_p w and
-    mu_p (w + 1); with w = 0 there is no upper end (None).
+    mu_p (w + 1); with w = 0 there is no upper end (None).  The level is
+    an integer that w and w + 1 divide, so the ends are exact integers.
     """
-    level = Fraction(level)
-    return level / (w + 1), (level / w if w else None)
+    return level // (w + 1), (level // w if w else None)
 
 
 def _reachable(genus, total, size, left):
@@ -245,23 +251,24 @@ def _narrow(state, a, in_i, b, in_j):
 
 
 def _leaf_ratio(state):
-    """The r a leaf yields: the pin, else ``_between`` of the interval."""
+    """The pair r a leaf yields: the pin, else the midpoint, else lo + 1."""
     lo, hi, pin = state
     if pin is not None:
-        return Fraction(*pin)
-    return _between(Fraction(*lo), hi and Fraction(*hi))
+        return pin
+    if hi is None:
+        return lo[0] + lo[1], lo[1]
+    return lo[0] * hi[1] + hi[0] * lo[1], 2 * lo[1] * hi[1]
 
 
 def _search(config: CurveConfig, fixed=None):
     """Depth-first search over the nodes for every realizable candidate.
 
-    Yields (alpha, I, beta, J, r).  At node p it chooses (alpha_p, p in I),
-    then (beta_p, p in J), skipping a weight that can no longer reach its
-    side's window (``_reachable``); with both genera positive it narrows
-    the r-interval (``_narrow``) and prunes once it is empty.  r is the
-    pin, else the midpoint of the interval (lo + 1 when unbounded, so 1
-    when a genus is zero).  ``fixed`` = (alpha, I, beta, J) restricts
-    every node to that candidate's choice.
+    Yields (alpha, I, beta, J, r), r an integer pair (``_leaf_ratio``).
+    At node p it chooses (alpha_p, p in I), then (beta_p, p in J), skipping
+    a weight that can no longer reach its side's window (``_reachable``);
+    with both genera positive it narrows the r-interval (``_narrow``) and
+    prunes once it is empty; with a zero genus r stays 1.  ``fixed`` =
+    (alpha, I, beta, J) restricts every node to that candidate's choice.
     """
     delta, joint = config.delta, config.g_x > 0 and config.g_y > 0
 
@@ -299,56 +306,42 @@ def _search(config: CurveConfig, fixed=None):
 
 
 def _witness(config: CurveConfig, alpha, I, beta, J, r):
-    """Closed-form witness of a candidate the search yielded with ratio r.
+    """Integer witness m of a candidate the search yielded with r = (rn, rd),
+    and its levels (c, d) on the same scale.
 
-    ``_raw_witness`` normalized so the last coordinate is 1.
+    With the scale D = 2 lcm(1 .. max(g_X, g_Y) + 1), c = rd D and d = rn D;
+    a side whose genus is zero has level 0 and puts no condition on m.
+    Each m_p is level/w_p on that side's locus, and off every locus the
+    midpoint of the intersection of both sides' node intervals
+    (``_node_interval``), or its low end plus rd D when it is unbounded.
     """
-    return _normalized(_raw_witness(config, alpha, I, beta, J, r))
-
-
-def _normalized(mu):
-    return tuple(m / mu[-1] for m in mu)
-
-
-def _raw_witness(config: CurveConfig, alpha, I, beta, J, r):
-    """The witness at its own levels, before normalization.
-
-    The focus-X level is 1 and the focus-Y level is r; a side whose genus
-    is zero has level 0 and puts no condition on mu.  Each mu_p is then
-    level/w_p on that side's locus, and off every locus the midpoint of
-    the intersection of both sides' node intervals (``_node_interval``).
-    """
-    both = ((config.g_y, Fraction(1), alpha, I), (config.g_x, r, beta, J))
-    sides = [side[1:] for side in both if side[0]]
-    mu = []
+    scale = 2 * lcm(*range(1, max(config.g_x, config.g_y) + 2))
+    c, d = r[1] * scale, r[0] * scale
+    levels = (c if config.g_y else 0, d if config.g_x else 0)
+    sides = [side for side in zip(levels, (alpha, beta), (I, J)) if side[0]]
+    m = []
     for p in range(config.delta):
-        pinned = [level / w[p] for level, w, locus in sides if p in locus]
+        pinned = [level // w[p] for level, w, locus in sides if p in locus]
         if pinned:
-            mu.append(pinned[0])
+            m.append(pinned[0])
             continue
         ends = [_node_interval(level, w[p]) for level, w, _ in sides]
-        lo = max((low for low, _ in ends), default=Fraction(0))
+        lo = max((low for low, _ in ends), default=0)
         hi = min((high for _, high in ends if high is not None), default=None)
-        mu.append(_between(lo, hi))
-    return mu
+        m.append(lo + c if hi is None else (lo + hi) // 2)
+    return m, levels
 
 
-def _at_levels(config: CurveConfig, mu, alpha, I, beta, J, r) -> bool:
-    """Whether the raw witness mu carries its candidate at its own levels.
+def _at_levels(config: CurveConfig, m, levels, alpha, I, beta, J) -> bool:
+    """Whether the integer witness m carries its candidate at levels (c, d).
 
-    mu and r are cleared to one integer scale L.  At focus-X level L (0
-    when g_Y = 0) each alpha_p must be the integer part of L / m_p and I the
-    nodes where L is a multiple of m_p, with g_Y <= |alpha| < g_Y + |I|;
-    the mirror holds at focus-Y level r L (0 when g_X = 0) for (beta, J).
-    By the uniqueness of the numerical data this is ``stratum_of``
-    returning the candidate at those levels.
+    At focus-X level c each alpha_p must be the integer part of c / m_p and
+    I the nodes where c is a multiple of m_p, with g_Y <= |alpha| < g_Y +
+    |I|; the mirror holds at focus-Y level d for (beta, J).  By the
+    uniqueness of the numerical data this is ``stratum_of`` returning the
+    candidate at those levels.
     """
-    scaled, scale = _integer_scaled((*mu, r))
-    m = scaled[:-1]
-    sides = (
-        (config.g_y, scale if config.g_y else 0, alpha, I),
-        (config.g_x, scaled[-1] if config.g_x else 0, beta, J),
-    )
+    sides = ((config.g_y, levels[0], alpha, I), (config.g_x, levels[1], beta, J))
     for genus, level, weights, locus in sides:
         if not genus <= sum(weights) < genus + len(locus):
             return False
@@ -359,8 +352,17 @@ def _at_levels(config: CurveConfig, mu, alpha, I, beta, J, r) -> bool:
     return True
 
 
-def _classify_back(config: CurveConfig, witness, alpha, I, beta, J) -> StratumData:
-    data = stratum_of(config, witness)
+def _precedes(m, n):
+    """Whether m / m_last is lexicographically below n / n_last (cross-products)."""
+    for a, b in zip(m, n):
+        if a * n[-1] != b * m[-1]:
+            return a * n[-1] < b * m[-1]
+    return False
+
+
+def _classify_back(config: CurveConfig, m, alpha, I, beta, J) -> StratumData:
+    """``stratum_of`` of m / m_last, checked to land on its candidate."""
+    data = stratum_of(config, tuple(Fraction(mp, m[-1]) for mp in m))
     if data.alpha != alpha or data.I != I or data.beta != beta or data.J != J:
         raise AssertionError("witness classification does not match the candidate")
     return data
@@ -369,18 +371,17 @@ def _classify_back(config: CurveConfig, witness, alpha, I, beta, J) -> StratumDa
 def realizable(config: CurveConfig, alpha, I, beta, J):
     """Witness weight vector realizing the candidate data, or None.
 
-    Malformed candidates (bounds violated, empty loci, zero entries where
-    positivity is forced) raise ValueError.  A well-formed candidate is
-    realizable when the node search, each node fixed to the candidate's
-    choice, reaches a leaf; otherwise the result is None.  A returned
-    witness is normalized so its last coordinate is 1 and is guaranteed to
-    classify back onto the candidate.
+    Malformed candidates (non-integer weights, bounds violated, empty loci,
+    zero entries where positivity is forced) raise ValueError.  A
+    well-formed candidate is realizable when the node search, each node
+    fixed to the candidate's choice, reaches a leaf; otherwise the result
+    is None.  A returned witness is normalized so its last coordinate is 1
+    and is guaranteed to classify back onto the candidate.
     """
     alpha, I, beta, J = _validate_candidate(config, alpha, I, beta, J)
     for found in _search(config, (alpha, I, beta, J)):
-        witness = _witness(config, *found)
-        _classify_back(config, witness, alpha, I, beta, J)
-        return witness
+        m, _ = _witness(config, *found)
+        return _classify_back(config, m, alpha, I, beta, J).witness_mu
     return None
 
 
@@ -388,12 +389,13 @@ def enumerate_strata(config: CurveConfig, cap: int | None = None, jobs: int = 1)
     """One StratumData per distinct StratumKey, deterministically ordered.
 
     Every realizable candidate comes from one lazy node search
-    (``_search``), gets its witness from the ratio the search found, and
-    is checked at its own levels (``_at_levels``).  Every positive rational
-    weight vector classifies onto exactly one of the returned keys.  The
-    stored representative keeps the lexicographically smallest witness
-    found, so the result does not depend on the search order, and only it
-    is classified back through ``stratum_of``.  More than ``cap`` realizable
+    (``_search``), gets its integer witness from the ratio the search found
+    (``_witness``), and is checked at its own levels (``_at_levels``).
+    Every positive rational weight vector classifies onto exactly one of
+    the returned keys.  The stored representative keeps the witness that is
+    lexicographically smallest once normalized (``_precedes``), so the
+    result does not depend on the search order, and only it is normalized
+    and classified back through ``stratum_of``.  More than ``cap`` realizable
     candidates raise CapExceeded as soon as the search finds one too many,
     so the cap bounds the work done.  ``jobs`` has no effect; it is
     accepted so that existing callers keep working.
@@ -403,14 +405,13 @@ def enumerate_strata(config: CurveConfig, cap: int | None = None, jobs: int = 1)
     for passed, (alpha, I, beta, J, r) in enumerate(_search(config), 1):
         if passed > cap:
             raise CapExceeded(f"candidate count exceeded the cap {cap}")
-        mu = _raw_witness(config, alpha, I, beta, J, r)
-        if not _at_levels(config, mu, alpha, I, beta, J, r):
+        m, levels = _witness(config, alpha, I, beta, J, r)
+        if not _at_levels(config, m, levels, alpha, I, beta, J):
             raise AssertionError("witness does not carry its candidate at its own levels")
-        witness = _normalized(mu)
         key = make_key(config, alpha, I, beta, J)
         old = kept.get(key)
-        if old is None or witness < old[0]:
-            kept[key] = (witness, alpha, I, beta, J)
+        if old is None or _precedes(m, old[0]):
+            kept[key] = (m, alpha, I, beta, J)
     return [_classify_back(config, *kept[k]) for k in sorted(kept, key=StratumKey.sort_token)]
 
 

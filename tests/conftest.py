@@ -7,6 +7,7 @@ database, so a run is deterministic and does not depend on earlier runs.
 
 import random
 from fractions import Fraction
+from math import lcm
 
 from limitcanon.strata import _at_levels, stratum_of
 
@@ -38,15 +39,17 @@ def rand_config_triple(rng: random.Random, max_delta=3, max_genus=4):
             return g_x, g_y, delta
 
 
-def level_verdicts(cfg, mu, candidate, r):
+def level_verdicts(cfg, mu, candidate, levels):
     """The level check's and ``stratum_of``'s verdicts on mu for a candidate.
 
-    Both ask whether mu carries the candidate at the witness's levels, 1 on
-    focus X and r on focus Y (0 for a zero genus).  A node moved alone can
-    keep the data at a shifted level when it is its locus's only member;
-    such a vector is no witness at these levels, for either check.
+    Both ask whether the rational vector mu carries the candidate at the
+    levels (c, d) of focus X and focus Y (0 for a zero genus); the level
+    check sees mu and the levels cleared to one integer scale.  A node moved
+    alone can keep the data at a shifted level when it is its locus's only
+    member; such a vector is no witness at these levels, for either check.
     """
     s = stratum_of(cfg, mu)
-    levels = (1 if cfg.g_y else 0, r if cfg.g_x else 0)
     classified = (s.alpha, s.I, s.beta, s.J) == candidate and (s.gamma, s.epsilon) == levels
-    return _at_levels(cfg, mu, *candidate, r), classified
+    scale = lcm(*(Fraction(v).denominator for v in (*mu, *levels)))
+    m, scaled = [int(v * scale) for v in mu], tuple(int(v * scale) for v in levels)
+    return _at_levels(cfg, m, scaled, *candidate), classified

@@ -11,7 +11,9 @@ one-parameter subgroup of a tripartition, the closure sets computed the
 slow way (each degenerate subspace by linear algebra, the pair
 fingerprints from their own coupling lattice), minors by Fraction
 Gaussian elimination, the base-change terms between the two Weierstrass
-presentations and the fiber divisor of a model.
+presentations and the fiber divisor of a model.  Stratum witnesses built
+in Fractions, and an enumeration that keeps the smallest Fraction witness
+per key, check the integer witnesses of ``strata``.
 
 Only public names of ``limitcanon`` are imported, so these checks do not
 share the library's private helpers.
@@ -30,7 +32,7 @@ from limitcanon.grassmann import (
 from limitcanon.linalg import hnf_rows, power_product, relation_lattice
 from limitcanon.model import DivisorOnModel
 from limitcanon.poset import neighborhood_radius
-from limitcanon.strata import make_key, stratum_key
+from limitcanon.strata import StratumKey, make_key, stratum_key, stratum_of
 from limitcanon.tripartitions import Tripartition, pair_compatible, tripartitions
 
 # ---------------------------------------------------------------------------
@@ -257,3 +259,72 @@ def base_change_terms(config, s):
 def fiber_divisor(model):
     """The whole fiber: every component with coefficient 1."""
     return DivisorOnModel(model, {c: 1 for c in model.components})
+
+
+# ---------------------------------------------------------------------------
+# stratum witnesses in Fractions
+
+
+def _between(lo, hi):
+    """A point of the open interval (lo, hi); hi None means unbounded."""
+    return lo + 1 if hi is None else (lo + hi) / 2
+
+
+def _fraction_ratio(alpha, I, beta, J):
+    """The ratio r = d/c of a realizable both-sided candidate's witness.
+
+    Node p pins r to b/a on I & J; otherwise r lies above b/a on I (else
+    b/(a+1)) and below b/a on J (else (b+1)/a), with no upper end when
+    a = 0.  r is the pin, else the midpoint of the interval (lo + 1 when
+    it is unbounded).
+    """
+    lo, hi, pin = Fraction(0), None, None
+    for p, (a, b) in enumerate(zip(alpha, beta)):
+        if p in I and p in J:
+            pin = Fraction(b, a)
+            continue
+        lo = max(lo, Fraction(b, a if p in I else a + 1))
+        if a:
+            end = Fraction(b if p in J else b + 1, a)
+            hi = end if hi is None else min(hi, end)
+    return pin if pin is not None else _between(lo, hi)
+
+
+def fraction_witness(config, alpha, I, beta, J):
+    """The witness of a realizable candidate built in Fractions, last coordinate 1.
+
+    The focus-X level is 1 and the focus-Y level is r (1 when a genus is
+    zero); a side whose genus is zero puts no condition on mu.  Each mu_p is
+    level/w_p on that side's locus, and off every locus the midpoint of the
+    intersected intervals level/(w_p+1) < mu_p < level/w_p, or the low end
+    plus 1 when no upper end is left.
+    """
+    r = _fraction_ratio(alpha, I, beta, J) if config.g_x and config.g_y else Fraction(1)
+    both = ((config.g_y, Fraction(1), alpha, I), (config.g_x, r, beta, J))
+    sides = [side[1:] for side in both if side[0]]
+    mu = []
+    for p in range(config.delta):
+        pinned = [level / w[p] for level, w, locus in sides if p in locus]
+        if pinned:
+            mu.append(pinned[0])
+            continue
+        lo = max((level / (w[p] + 1) for level, w, _ in sides), default=Fraction(0))
+        hi = min((level / w[p] for level, w, _ in sides if w[p]), default=None)
+        mu.append(_between(lo, hi))
+    return tuple(m / mu[-1] for m in mu)
+
+
+def fraction_enumeration(config, candidates):
+    """The strata of the realizable candidates, the Fraction way.
+
+    Per ``make_key`` the smallest ``fraction_witness`` (as a Fraction tuple)
+    is kept and classified by ``stratum_of``, in ``StratumKey.sort_token``
+    order.
+    """
+    kept = {}
+    for alpha, I, beta, J in candidates:
+        witness = fraction_witness(config, alpha, I, beta, J)
+        key = make_key(config, alpha, I, beta, J)
+        if key not in kept or witness < kept[key]:
+            kept[key] = witness
+    return [stratum_of(config, kept[key]) for key in sorted(kept, key=StratumKey.sort_token)]

@@ -1,4 +1,4 @@
-"""Property tests of classification and the witness level check (hypothesis).
+"""Property tests of classification, witnesses and the level check (hypothesis).
 
 The profile registered in ``conftest.py`` keeps them deterministic.
 """
@@ -14,7 +14,7 @@ from hypothesis import assume, given, strategies as st
 from conftest import level_verdicts
 from limitcanon.model import CurveConfig
 from limitcanon.numdata import associated_data
-from limitcanon.strata import _raw_witness, _search, stratum_key, stratum_of
+from limitcanon.strata import _search, _witness, enumerate_strata, stratum_key, stratum_of
 
 positive = st.fractions(min_value=Fraction(1, 64), max_value=64, max_denominator=64)
 
@@ -61,10 +61,10 @@ def test_level_check_matches_stratum_of_on_search_candidates(cfg, data):
     found = _candidates(cfg)
     assume(found)
     alpha, I, beta, J, r = data.draw(st.sampled_from(found))
-    mu = _raw_witness(cfg, alpha, I, beta, J, r)
+    mu, levels = _witness(cfg, alpha, I, beta, J, r)
     p = data.draw(st.integers(0, cfg.delta - 1))
     mu[p] *= data.draw(st.sampled_from([Fraction(k, 8) for k in range(4, 13)]))
-    fast, slow = level_verdicts(cfg, mu, (alpha, I, beta, J), r)
+    fast, slow = level_verdicts(cfg, mu, (alpha, I, beta, J), levels)
     assert fast == slow
 
 
@@ -78,9 +78,34 @@ def test_level_check_matches_stratum_of_on_floor_patterns(cfg, data):
     # which is the data exactly when it meets the window
     mu = data.draw(st.lists(near_loci, min_size=cfg.delta, max_size=cfg.delta))
     r = data.draw(near_loci)
+    levels = (1 if cfg.g_y else 0, r if cfg.g_x else 0)
     candidate = ()
-    for genus, level in ((cfg.g_y, 1), (cfg.g_x, r)):
-        level = level if genus else 0
+    for level in levels:
         candidate += (tuple(level // m for m in mu), frozenset(p for p, m in enumerate(mu) if level % m == 0))
-    fast, slow = level_verdicts(cfg, mu, candidate, r)
+    fast, slow = level_verdicts(cfg, mu, candidate, levels)
     assert fast == slow
+
+
+@given(configs(max_genus=3), st.data())
+def test_witness_classifies_back_at_its_levels(cfg, data):
+    # the integer witness lands on its candidate, at levels (1, r) on its own scale
+    found = _candidates(cfg)
+    assume(found)
+    alpha, I, beta, J, r = data.draw(st.sampled_from(found))
+    m, levels = _witness(cfg, alpha, I, beta, J, r)
+    s = stratum_of(cfg, m)
+    assert (s.alpha, s.I, s.beta, s.J) == (alpha, I, beta, J)
+    assert (s.gamma, s.epsilon) == levels
+    if cfg.g_x and cfg.g_y:
+        assert Fraction(levels[1], levels[0]) == Fraction(*r)
+
+
+@lru_cache(maxsize=None)
+def _listed_keys(cfg):
+    return frozenset(stratum_key(cfg, s) for s in enumerate_strata(cfg))
+
+
+@given(weights())
+def test_every_weight_vector_lands_on_a_listed_key(case):
+    cfg, mu = case
+    assert stratum_key(cfg, stratum_of(cfg, mu)) in _listed_keys(cfg)

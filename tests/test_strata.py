@@ -2,6 +2,7 @@
 
 import random
 import time
+from dataclasses import fields
 from fractions import Fraction
 from itertools import combinations, product
 from math import gcd
@@ -15,7 +16,6 @@ from limitcanon.model import CurveConfig
 from limitcanon.strata import (
     CapExceeded,
     _node_interval,
-    _raw_witness,
     _search,
     _witness,
     enumerate_strata,
@@ -25,6 +25,7 @@ from limitcanon.strata import (
     stratum_key,
     stratum_of,
 )
+from oracles import fraction_enumeration, fraction_witness
 
 
 def test_stratum_of_zero_genera():
@@ -93,6 +94,18 @@ def test_realizable_rejects_malformed():
         realizable(cfg, (4, 0), {0, 1}, (1, 1), {0, 1})  # zero on I
     with pytest.raises(ValueError):
         realizable(cfg, (2, 2, 0), {0, 1}, (1, 1), {0, 1})  # wrong length
+
+
+def test_realizable_rejects_non_integer_weights():
+    # a fractional or string weight is malformed, not truncated to an integer
+    cfg = CurveConfig(g_x=2, g_y=4, delta=3)
+    assert realizable(cfg, (0, 2, 2), {2}, (0, 1, 1), {2}) is not None
+    with pytest.raises(ValueError, match="entries must be integers"):
+        realizable(cfg, (0, 2.5, 2.5), {2}, (0, 1, 1), {2})
+    with pytest.raises(ValueError, match="entries must be integers"):
+        realizable(cfg, (0, 2, 2), {2}, ("0", "1", "1"), {2})
+    with pytest.raises(ValueError, match="entries must be integers"):
+        realizable(cfg, ("0", "2", "2"), {2}, (0, 1, 1), {2})
 
 
 def _random_side(rng, genus, delta):
@@ -276,11 +289,11 @@ def test_search_matches_brute_force_fm_oracle():
         assert len({f[:4] for f in found}) == len(found), cfg
         assert {f[:4] for f in found} == expected, cfg
         for alpha, I, beta, J, r in found:
-            s = stratum_of(cfg, _witness(cfg, alpha, I, beta, J, r))
+            s = stratum_of(cfg, _witness(cfg, alpha, I, beta, J, r)[0])
             assert (s.alpha, s.I, s.beta, s.J) == (alpha, I, beta, J)
 
 
-def _perturbations(cfg, mu, candidate, r):
+def _perturbations(cfg, mu, candidate, levels):
     """mu with one node moved to, just inside or just across an end of an interval.
 
     On a side with positive genus a node's ends are level/(w_p+1) and
@@ -289,7 +302,8 @@ def _perturbations(cfg, mu, candidate, r):
     end, or across the end.
     """
     alpha, _, beta, _ = candidate
-    sides = [(level, w) for genus, level, w in ((cfg.g_y, 1, alpha), (cfg.g_x, r, beta)) if genus]
+    both = ((cfg.g_y, levels[0], alpha), (cfg.g_x, levels[1], beta))
+    sides = [(level, w) for genus, level, w in both if genus]
     for p in range(cfg.delta):
         for level, w in sides:
             for end in _node_interval(level, w[p]):
@@ -309,10 +323,10 @@ def test_level_check_agrees_with_stratum_of_on_perturbed_witnesses():
         cfg = CurveConfig(*triple)
         for alpha, I, beta, J, r in _search(cfg):
             candidate = (alpha, I, beta, J)
-            mu = _raw_witness(cfg, *candidate, r)
-            assert level_verdicts(cfg, mu, candidate, r) == (True, True), (triple, candidate)
-            for moved in _perturbations(cfg, mu, candidate, r):
-                fast, slow = level_verdicts(cfg, moved, candidate, r)
+            mu, levels = _witness(cfg, *candidate, r)
+            assert level_verdicts(cfg, mu, candidate, levels) == (True, True), (triple, candidate)
+            for moved in _perturbations(cfg, mu, candidate, levels):
+                fast, slow = level_verdicts(cfg, moved, candidate, levels)
                 assert fast == slow, (triple, candidate, moved)
                 tally[fast] = tally.get(fast, 0) + 1
     assert tally[True] > 500 and tally[False] > 2000, tally
@@ -330,3 +344,34 @@ def test_enumerate_classifies_only_the_kept_representatives(monkeypatch, triple)
     monkeypatch.setattr(strata, "stratum_of", counting)
     found = enumerate_strata(CurveConfig(*triple))
     assert seen == [s.witness_mu for s in found]
+
+
+SWEEP_GRID = [(g_x, g_y, d) for d in (2, 3) for g_x in range(6) for g_y in range(6) if g_x or g_y]
+SWEEP_GRID += [(0, g, 4) for g in range(1, 6)] + [(g, 0, 4) for g in range(1, 6)]
+
+
+def test_integer_witness_matches_the_fraction_oracle():
+    # every candidate's integer witness, normalized, is the witness built in Fractions
+    checked = 0
+    for triple in SWEEP_GRID + [(4, 4, 4), (3, 5, 4), (3, 4, 5)]:
+        cfg = CurveConfig(*triple)
+        for alpha, I, beta, J, r in _search(cfg):
+            m, _ = _witness(cfg, alpha, I, beta, J, r)
+            normalized = tuple(Fraction(mp, m[-1]) for mp in m)
+            assert normalized == fraction_witness(cfg, alpha, I, beta, J), (triple, alpha, I, beta, J)
+            checked += 1
+    assert checked > 10_000
+
+
+@pytest.mark.parametrize("grid", [SWEEP_GRID, [(4, 4, 4), (3, 5, 4)]], ids=["sweep", "pipeline"])
+def test_enumerate_matches_the_fraction_oracle_enumeration(grid):
+    # the cross-product dedup keeps the same representative as comparing Fraction tuples
+    for triple in grid:
+        cfg = CurveConfig(*triple)
+        got = enumerate_strata(cfg)
+        want = fraction_enumeration(cfg, [found[:4] for found in _search(cfg)])
+        assert len(got) == len(want), triple
+        for s, t in zip(got, want):
+            for f in fields(s):
+                assert getattr(s, f.name) == getattr(t, f.name), (triple, f.name)
+            assert repr(s) == repr(t)
