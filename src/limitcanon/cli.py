@@ -37,7 +37,7 @@ from .strata import CapExceeded
 
 
 def qstr(x) -> str:
-    f = Fraction(x)
+    f = x if type(x) is Fraction else Fraction(x)
     return f"{f.numerator}/{f.denominator}"
 
 

@@ -133,9 +133,37 @@ def intersection(model: SemistableModel, E, F) -> int:
     return -sum(1 for a, b in model.nodes if (a == E) != (b == E))
 
 
+def _valence_plus_pairing(model: SemistableModel, vector) -> list:
+    """valence(E) + v.E for every component E, in one pass over the nodes.
+
+    ``vector`` holds an integer per component, in component order.  Each end
+    E of a node whose other end is F != E gains 1 + v_F - v_E (the node's
+    share of the valence and of the pairing, which puts 1 on E.F and -1 on
+    E.E); a loop gains 1 and pairs to nothing.
+    """
+    index = {comp: k for k, comp in enumerate(model.components)}
+    out = [0] * len(index)
+    for a, b in model.nodes:
+        i, j = index[a], index[b]
+        if i == j:
+            out[i] += 1
+        else:
+            out[i] += 1 + vector[j] - vector[i]
+            out[j] += 1 + vector[i] - vector[j]
+    return out
+
+
 def intersection_matrix(model: SemistableModel):
-    comps = model.components
-    return [[intersection(model, a, b) for b in comps] for a in comps]
+    """The pairing E_i.E_j, row by row: row k is the pass on the k-th unit
+    vector minus the pass on zero (the pairing is symmetric)."""
+    size = len(model.components)
+    valence = _valence_plus_pairing(model, [0] * size)
+    rows = []
+    for k in range(size):
+        unit = [0] * size
+        unit[k] = 1
+        rows.append([d - v for d, v in zip(_valence_plus_pairing(model, unit), valence)])
+    return rows
 
 
 def _require_integral(data: NumericalData):
@@ -189,18 +217,15 @@ def multidegree_of_twisted_dualizing(
 ) -> MultiDegree:
     """Degrees of omega_model(D) on every component.
 
-    On a component E this is (2 g_E - 2 + #nodes on E) + D.E.
+    On a component E this is (2 g_E - 2 + #nodes on E) + D.E; the valence
+    and D.E are read in one pass over the nodes, each end E of a node with
+    other end F != E taking 1 + D_F - D_E and a loop 1.
     """
-    degrees = []
-    for comp in model.components:
-        valence = sum(1 for a, b in model.nodes if comp in (a, b))
-        base = 2 * component_genus(config, comp) - 2 + valence
-        dot = sum(
-            coeff * intersection(model, comp, other)
-            for other, coeff in divisor.coefficients.items()
-        )
-        degrees.append((comp, base + dot))
-    return MultiDegree(tuple(degrees))
+    comps = model.components
+    twisted = _valence_plus_pairing(model, [divisor.coefficients.get(c, 0) for c in comps])
+    return MultiDegree(
+        tuple((c, 2 * component_genus(config, c) - 2 + t) for c, t in zip(comps, twisted))
+    )
 
 
 def correction_numbers(stratum):

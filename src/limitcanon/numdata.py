@@ -19,12 +19,15 @@ is an integer multiple of mu_p.  The step function F(c) := sum_p
 floor(c / mu_p) increases only at such multiples, jumping by |I(c)|, and
 condition (c) says precisely that c is the unique breakpoint with
 F(c-) < upsilon <= F(c); equivalently, c is the smallest value with
-F(c) >= upsilon.  ``_breakpoint`` is the shared integer core: on an integer
-vector m it locates that breakpoint by a galloping binary search.
-``associated_data`` (one target) and ``strata.stratum_of`` (both foci, one
-clearing of mu) read the solution off it; ``scan_oracle`` finds the
-breakpoint by a deliberately naive linear scan and is kept as an independent
-cross-check played against it.
+F(c) >= upsilon.  For upsilon >= 1 that is the upsilon-th smallest of the
+multiples k * mu_p (k >= 1), counted with multiplicity.  ``_breakpoint`` is
+the shared integer core: on an integer vector m it walks those multiples in
+increasing order from a lower bracket c0 with F(c0) < upsilon, at which
+fewer than 2 * delta jumps remain, so a call costs O(delta log delta)
+whatever upsilon is.  ``associated_data`` (one target) and
+``strata.stratum_of`` (both foci, one clearing of mu) read the solution off
+it; ``scan_oracle`` finds the breakpoint by a deliberately naive linear scan
+and is kept as an independent cross-check played against it.
 
 All arithmetic is exact.  A rational mu is cleared to an integer vector
 first; by homogeneity (scaling mu by t > 0 keeps alpha and I, scales rho and
@@ -35,6 +38,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapify, heapreplace
+from math import lcm
 
 from .linalg import _integer_scaled
 
@@ -57,7 +62,7 @@ def _clean_mu(mu):
     entries = tuple(m if type(m) is Fraction else Fraction(m) for m in mu)
     if not entries:
         raise ValueError("the index set must be nonempty")
-    if any(m <= 0 for m in entries):
+    if any(m.numerator <= 0 for m in entries):
         raise ValueError("all mu entries must be positive")
     return entries
 
@@ -76,32 +81,24 @@ def _data_from_breakpoint(m, t, c):
 def _breakpoint(m, upsilon: int) -> int:
     """The breakpoint c with F(c-) < upsilon <= F(c), F(c) = sum floor(c / m_p).
 
-    ``m`` is a vector of positive integers; c is the smallest integer with
-    F(c) >= upsilon, found by galloping out from 0 and bisecting.
+    ``m`` is a vector of positive integers.  With sum 1/m_p = S/L (L the
+    lcm of m), F(c) <= c*S/L < F(c) + delta, so c0 = ceil(upsilon*L/S) - 1
+    has F(c0) < upsilon and F(c0) > upsilon - 2*delta.  The walk pops the
+    multiples of the m_p above c0 in increasing order, F growing by one per
+    multiple, and stops at the one that brings F to upsilon.  For
+    0 < upsilon <= 2*delta the bracket 0 does as well and needs no lcm.
     """
-
-    def jumps(c):
-        return sum(c // mp for mp in m)
-
-    # bracket the smallest integer c with jumps(c) >= upsilon
-    if jumps(0) >= upsilon:
-        hi, lo, step = 0, -1, 1
-        while jumps(lo) >= upsilon:
-            hi = lo
-            step *= 2
-            lo -= step
+    if 0 < upsilon <= 2 * len(m):
+        c = 0
     else:
-        lo, hi = 0, 1
-        while jumps(hi) < upsilon:
-            lo = hi
-            hi *= 2
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if jumps(mid) >= upsilon:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+        scale = lcm(*m)
+        c = -(-upsilon * scale // sum(scale // mp for mp in m)) - 1
+    heap = [((c // mp + 1) * mp, mp) for mp in m]
+    heapify(heap)
+    for _ in range(upsilon - sum(c // mp for mp in m) - 1):
+        c, mp = heap[0]
+        heapreplace(heap, (c + mp, mp))
+    return heap[0][0]
 
 
 def associated_data(mu, upsilon: int) -> NumericalData:
@@ -142,8 +139,8 @@ def verify_conditions(mu, upsilon: int, candidate: NumericalData) -> bool:
 def scan_oracle(mu, upsilon: int) -> NumericalData:
     """Brute-force solution: walk the breakpoints upward, test each one.
 
-    Intentionally naive; kept independent of the binary search so the two
-    can be played against each other in tests.
+    Intentionally naive; kept independent of the walk over node multiples
+    so the two can be played against each other in tests.
     """
     mu = _clean_mu(mu)
     m, t = _integer_scaled(mu)

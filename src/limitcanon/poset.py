@@ -121,14 +121,16 @@ class ClosurePoset:
         """Pairs (a, b) with b in the closure of a and one dimension lower.
 
         Closures are graded by dimension (the stratification is pure), so
-        these are exactly the covering pairs.
+        these are exactly the covering pairs.  The keys are in
+        ``StratumKey.sort_token`` order, so each a's covered members are
+        listed in that order by their position among the keys.
         """
-        return [
-            (a, b)
-            for a in self.keys
-            for b in sorted(self.closure[a], key=StratumKey.sort_token)
-            if self.dims[b] == self.dims[a] - 1
-        ]
+        position = {k: i for i, k in enumerate(self.keys)}
+        edges = []
+        for a in self.keys:
+            below = [b for b in self.closure[a] if self.dims[b] == self.dims[a] - 1]
+            edges.extend((a, b) for b in sorted(below, key=position.__getitem__))
+        return edges
 
 
 def build_poset(config: CurveConfig, strata=None, cap=None) -> ClosurePoset:

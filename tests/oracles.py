@@ -11,9 +11,12 @@ one-parameter subgroup of a tripartition, the closure sets computed the
 slow way (each degenerate subspace by linear algebra, the pair
 fingerprints from their own coupling lattice), minors by Fraction
 Gaussian elimination, the base-change terms between the two Weierstrass
-presentations and the fiber divisor of a model.  Stratum witnesses built
-in Fractions, and an enumeration that keeps the smallest Fraction witness
-per key, check the integer witnesses of ``strata``.
+presentations, the fiber divisor of a model and the twisted multidegrees
+component by component through ``intersection``.  The breakpoint of the
+numerical data found by galloping out from 0 and bisecting checks the walk
+over node multiples in ``numdata``.  Stratum witnesses built in Fractions,
+and an enumeration that keeps the smallest Fraction witness per key, check
+the integer witnesses of ``strata``.
 
 Only public names of ``limitcanon`` are imported, so these checks do not
 share the library's private helpers.
@@ -30,7 +33,7 @@ from limitcanon.grassmann import (
     tripartition_degenerate,
 )
 from limitcanon.linalg import hnf_rows, power_product, relation_lattice
-from limitcanon.model import DivisorOnModel
+from limitcanon.model import DivisorOnModel, MultiDegree, component_genus, intersection
 from limitcanon.poset import neighborhood_radius
 from limitcanon.strata import StratumKey, make_key, stratum_key, stratum_of
 from limitcanon.tripartitions import Tripartition, pair_compatible, tripartitions
@@ -259,6 +262,52 @@ def base_change_terms(config, s):
 def fiber_divisor(model):
     """The whole fiber: every component with coefficient 1."""
     return DivisorOnModel(model, {c: 1 for c in model.components})
+
+
+def pairwise_multidegree(model, config, divisor):
+    """Degrees of omega_model(D), component by component:
+    (2 g_E - 2 + #nodes on E) + sum_F D_F * E.F, each E.F by ``intersection``."""
+    degrees = []
+    for comp in model.components:
+        valence = sum(1 for a, b in model.nodes if comp in (a, b))
+        base = 2 * component_genus(config, comp) - 2 + valence
+        dot = sum(
+            coeff * intersection(model, comp, other)
+            for other, coeff in divisor.coefficients.items()
+        )
+        degrees.append((comp, base + dot))
+    return MultiDegree(tuple(degrees))
+
+
+# ---------------------------------------------------------------------------
+# numerical data
+
+
+def galloping_breakpoint(m, upsilon):
+    """The smallest integer c with sum_p floor(c / m_p) >= upsilon, for
+    positive integers m, found by galloping out from 0 and bisecting."""
+
+    def jumps(c):
+        return sum(c // mp for mp in m)
+
+    if jumps(0) >= upsilon:
+        hi, lo, step = 0, -1, 1
+        while jumps(lo) >= upsilon:
+            hi = lo
+            step *= 2
+            lo -= step
+    else:
+        lo, hi = 0, 1
+        while jumps(hi) < upsilon:
+            lo = hi
+            hi *= 2
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if jumps(mid) >= upsilon:
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 # ---------------------------------------------------------------------------

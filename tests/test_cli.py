@@ -40,6 +40,28 @@ def test_numdata_command(capsys):
     assert obj["level"] == "1/1"
 
 
+@pytest.mark.parametrize("upsilon", [10 ** 9, -7])
+def test_numdata_far_targets_match_the_galloping_oracle(capsys, upsilon):
+    from fractions import Fraction
+    from time import perf_counter
+
+    from oracles import galloping_breakpoint
+
+    t0 = perf_counter()
+    code, out, _ = run_cli(capsys, ["numdata", "--mu", "1/3,2/7,5/11", "--upsilon", str(upsilon)])
+    assert code == 0 and perf_counter() - t0 < 1.0
+    m, t = (77, 66, 105), 231  # mu cleared to integers
+    c = galloping_breakpoint(m, upsilon)
+    alpha = [c // mp for mp in m]
+    assert json.loads(out) == {
+        "labels": ["p1", "p2", "p3"],
+        "alpha": alpha,
+        "rho": [qstr(Fraction(mp * (a + 1) - c, t)) for mp, a in zip(m, alpha)],
+        "I": [f"p{p + 1}" for p, mp in enumerate(m) if c % mp == 0],
+        "level": qstr(Fraction(c, t)),
+    }
+
+
 def test_stratum_trivial(capsys):
     code, out, _ = run_cli(
         capsys, ["stratum", "--gx", "0", "--gy", "0", "--mu", "1,1,1"]

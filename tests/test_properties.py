@@ -1,4 +1,6 @@
-"""Property tests of classification, witnesses and the level check (hypothesis).
+"""Property tests of classification, witnesses, the level check, the
+breakpoint walk, the model's node pass, Weierstrass totals and closures
+(hypothesis).
 
 The profile registered in ``conftest.py`` keeps them deterministic.
 """
@@ -12,9 +14,21 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given, strategies as st
 
 from conftest import level_verdicts
-from limitcanon.model import CurveConfig
-from limitcanon.numdata import associated_data
+from limitcanon.model import (
+    X,
+    CurveConfig,
+    DivisorOnModel,
+    SemistableModel,
+    build_model,
+    intersection,
+    intersection_matrix,
+    multidegree_of_twisted_dualizing,
+)
+from limitcanon.numdata import _breakpoint, associated_data, scan_oracle
+from limitcanon.poset import build_poset
 from limitcanon.strata import _search, _witness, enumerate_strata, stratum_key, stratum_of
+from limitcanon.weier import weierstrass_degrees
+from oracles import galloping_breakpoint, pairwise_multidegree
 
 positive = st.fractions(min_value=Fraction(1, 64), max_value=64, max_denominator=64)
 
@@ -109,3 +123,59 @@ def _listed_keys(cfg):
 def test_every_weight_vector_lands_on_a_listed_key(case):
     cfg, mu = case
     assert stratum_key(cfg, stratum_of(cfg, mu)) in _listed_keys(cfg)
+
+
+# node weights from 1 to 10^12, small ones often, so multiples coincide
+node_weights = st.lists(
+    st.one_of(st.integers(1, 12), st.integers(1, 10 ** 12)), min_size=1, max_size=6
+)
+
+
+@given(node_weights, st.one_of(st.integers(-50, 60), st.integers(-50, 10 ** 6)))
+def test_breakpoint_walk_matches_galloping_and_scan(m, upsilon):
+    c = _breakpoint(m, upsilon)
+    assert c == galloping_breakpoint(m, upsilon)
+    # the scan visits every breakpoint up to c, so it runs on small targets only
+    if upsilon <= 60:
+        assert associated_data(m, upsilon) == scan_oracle(m, upsilon)
+
+
+@st.composite
+def twisted_models(draw):
+    cfg = draw(configs())
+    model = build_model(cfg, draw(st.lists(st.integers(1, 4), min_size=cfg.delta, max_size=cfg.delta)))
+    if draw(st.booleans()):
+        # a loop at X: nothing the builder makes, but the pairing must still hold
+        model = SemistableModel(cfg, model.mu, model.components, model.nodes + ((X, X),))
+    coeffs = draw(st.lists(st.integers(-5, 5), min_size=len(model.components), max_size=len(model.components)))
+    return cfg, model, DivisorOnModel(model, dict(zip(model.components, coeffs)))
+
+
+@given(twisted_models())
+def test_node_pass_matches_the_pairwise_oracle(case):
+    cfg, model, divisor = case
+    assert multidegree_of_twisted_dualizing(model, cfg, divisor) == pairwise_multidegree(model, cfg, divisor)
+    comps = model.components
+    assert intersection_matrix(model) == [[intersection(model, a, b) for b in comps] for a in comps]
+
+
+@given(weights())
+def test_weierstrass_degrees_total_g_cubed_minus_g(case):
+    cfg, mu = case
+    w = weierstrass_degrees(cfg, stratum_of(cfg, mu))
+    g = cfg.genus
+    assert w.stratum_form.total == w.normalized.total == g ** 3 - g
+
+
+@lru_cache(maxsize=None)
+def _poset(cfg):
+    return build_poset(cfg)
+
+
+@given(configs(max_genus=3, max_delta=3))
+def test_closures_are_reflexive_and_transitive(cfg):
+    poset = _poset(cfg)
+    for a in poset.keys:
+        assert a in poset.closure[a]
+        for b in poset.closure[a]:
+            assert poset.closure[b] <= poset.closure[a]
