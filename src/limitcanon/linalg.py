@@ -3,49 +3,60 @@
 Everything works with ``fractions.Fraction`` (or int) entries; floating
 point is never used.  Matrices are sequences of row tuples.  The sizes in
 this package are tiny (ambient dimension at most 6 or 7), so the plain
-O(n^3) algorithms are fine.  Determinants clear each row's denominators
-and eliminate fraction-free (Bareiss) in integers.
+O(n^3) algorithms are fine.  Row reduction and determinants clear each
+row's denominators once and eliminate fraction-free in integers (Bareiss
+for determinants); row reduction divides by the pivots only when it writes
+the reduced rows.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import lcm, prod
+from math import gcd, lcm, prod
 
 
 def rref(rows, ncols=None):
     """Reduced row echelon form.
 
     Returns ``(reduced_rows, pivot_columns)`` where ``reduced_rows`` drops
-    zero rows and each pivot entry is 1.
+    zero rows and each pivot entry is 1.  Fraction-free: each row is
+    cleared of denominators once and eliminated in integers (a row is
+    replaced by pivot * row - entry * pivot row, then divided by its
+    content), so every working row is a nonzero multiple of the row that
+    elimination over the rationals holds; the reduced rows are divided by
+    their pivots only when they are written out.
     """
-    mat = [[Fraction(x) for x in row] for row in rows]
+    mat = [_cleared(row) for row in rows]
     if ncols is None:
         ncols = len(mat[0]) if mat else 0
     pivots = []
     r = 0
     for c in range(ncols):
-        pivot = None
-        for i in range(r, len(mat)):
-            if mat[i][c] != 0:
-                pivot = i
-                break
+        pivot = next((i for i in range(r, len(mat)) if mat[i][c]), None)
         if pivot is None:
             continue
         mat[r], mat[pivot] = mat[pivot], mat[r]
-        inv = mat[r][c]
-        mat[r] = [x / inv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+        row_r = mat[r]
+        pv = row_r[c]
+        for i, row in enumerate(mat):
+            f = row[c]
+            if i != r and f:
+                row = [pv * a - f * b for a, b in zip(row, row_r)]
+                g = gcd(*row)
+                mat[i] = [a // g for a in row] if g > 1 else row
         pivots.append(c)
         r += 1
         if r == len(mat):
             break
-    reduced = [tuple(row) for row in mat[:r]]
+    reduced = [tuple(Fraction(a, row[c]) for a in row) for row, c in zip(mat, pivots)]
     return reduced, pivots
+
+
+def _cleared(row):
+    """The row times the lcm of its entries' denominators, as integers."""
+    row = [x if type(x) is int or type(x) is Fraction else Fraction(x) for x in row]
+    return _integer_scaled(row)[0] if row else row
 
 
 def nullspace(rows, ncols):

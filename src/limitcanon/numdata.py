@@ -29,9 +29,14 @@ whatever upsilon is.  ``associated_data`` (one target) and
 it; ``scan_oracle`` finds the breakpoint by a deliberately naive linear scan
 and is kept as an independent cross-check played against it.
 
-All arithmetic is exact.  A rational mu is cleared to an integer vector
-first; by homogeneity (scaling mu by t > 0 keeps alpha and I, scales rho and
-the level by t) the result is rescaled back.
+All arithmetic is exact and stays in integers until a value is read.  A
+rational mu is cleared to an integer vector m = t * mu first; by
+homogeneity (scaling mu by t > 0 keeps alpha and I, scales rho and the
+level by t) the result is rescaled back: ``associated_data`` returns rho
+and the level as Fractions, while ``strata.StratumData`` keeps m, t and the
+breakpoints and makes its rationals when they are read.
+``verify_conditions`` puts mu, rho and the level on one integer scale (the
+lcm of their denominators) and checks (a)-(d) there.
 """
 
 from __future__ import annotations
@@ -107,33 +112,44 @@ def associated_data(mu, upsilon: int) -> NumericalData:
     return _data_from_breakpoint(m, t, _breakpoint(m, upsilon))
 
 
+def _ratio(value):
+    """Numerator and positive denominator of a rational value (an int, a
+    Fraction, or anything ``Fraction`` reads)."""
+    if type(value) is not int and type(value) is not Fraction:
+        value = Fraction(value)
+    return value.numerator, value.denominator
+
+
 def verify_conditions(mu, upsilon: int, candidate: NumericalData) -> bool:
     """Exact check of conditions (a)-(d) against a candidate solution.
 
-    Total: returns False on any mismatch rather than raising.
+    mu, rho and the level are scaled to integers by the lcm of all their
+    denominators, and the conditions are checked on that one scale.  Total:
+    returns False on any mismatch, including a malformed mu or candidate
+    (an entry that is no number), rather than raising.
     """
     try:
-        mu = _clean_mu(mu)
-    except ValueError:
+        m, t = _integer_scaled(_clean_mu(mu))
+        alpha = tuple(candidate.alpha)
+        whole = tuple(map(int, alpha))
+        rho = [_ratio(r) for r in candidate.rho]
+        level = _ratio(candidate.level)
+    except (TypeError, ValueError, ArithmeticError):
         return False
-    alpha, rho = candidate.alpha, candidate.rho
-    if len(alpha) != len(mu) or len(rho) != len(mu):
+    if whole != alpha or len(alpha) != len(m) or len(rho) != len(m):
         return False
-    if any(a != int(a) for a in alpha):
+    scale = lcm(t, level[1], *(d for _, d in rho))
+    m = [mp * (scale // t) for mp in m]
+    rho = [n * (scale // d) for n, d in rho]
+    if any(not 0 < r <= mp for r, mp in zip(rho, m)):
         return False
-    rho = tuple(Fraction(r) for r in rho)
-    if any(not (0 < r <= m) for r, m in zip(rho, mu)):
-        return False
-    derived = frozenset(p for p, (r, m) in enumerate(zip(rho, mu)) if r == m)
+    derived = frozenset(p for p, (r, mp) in enumerate(zip(rho, m)) if r == mp)
     if derived != candidate.I or not derived:
         return False
-    total = sum(alpha)
-    if not (upsilon <= total < upsilon + len(derived)):
+    if not upsilon <= sum(whole) < upsilon + len(derived):
         return False
-    levels = {m * (a + 1) - r for m, a, r in zip(mu, alpha, rho)}
-    if len(levels) != 1:
-        return False
-    return levels.pop() == candidate.level
+    target = level[0] * (scale // level[1])
+    return all(mp * (a + 1) - r == target for mp, a, r in zip(m, whole, rho))
 
 
 def scan_oracle(mu, upsilon: int) -> NumericalData:

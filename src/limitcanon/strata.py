@@ -35,23 +35,32 @@ the candidate's, within the window g <= total < g + |locus|.  The
 numerical data at a target is unique and its level is the one breakpoint
 of the ``numdata`` docstring, so this holds exactly when ``stratum_of``
 classifies the witness back onto its candidate.  Witnesses of one key are
-compared by cross-products (m_i m'_last against m'_i m_last); only the
-representative kept per key becomes Fractions m_i / m_last, classified by
-``stratum_of``, whose data the output carries.  The test suite keeps the
-Fraction witness builder, a Fourier-Motzkin solver of the joint system and
-a brute-force candidate product as independent oracles.
+compared by cross-products (m_i m'_last against m'_i m_last).  Only the
+representative kept per key is classified back (``_classify_back``), and
+in integers: the breakpoints of m at g_Y and g_X must be its levels
+(c, d), which is the independent check of the levels that the window
+assumes.
+
+The data stays in integers until it is read.  ``StratumData`` keeps the
+witness cleared once (m and the scale t, gcd(m, t) = 1) with the two
+breakpoints, and ``stratum_of`` clears mu once and stores the same; the
+rationals witness_mu, rho, sigma, gamma and epsilon are made when they are
+read, so the classification, the key and the dimension make none.  The
+test suite keeps the Fraction witness builder, the Fraction classification
+and enumeration, a Fourier-Motzkin solver of the joint system and a
+brute-force candidate product as independent oracles.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import index
 
 from .model import CurveConfig
 from .linalg import _integer_scaled
-from .numdata import _breakpoint, _clean_mu, _data_from_breakpoint, _pattern
+from .numdata import _breakpoint, _clean_mu, _pattern
 
 DEFAULT_CAP = 1_000_000
 
@@ -75,21 +84,33 @@ class StratumKey:
         return (self.alpha, self.beta, itok, jtok)
 
 
-@dataclass(frozen=True)
+# the public values of a StratumData, in the order its repr and hash take them
+_VALUES = (
+    "alpha", "I", "beta", "J", "gamma", "epsilon", "alpha_tilde", "beta_tilde", "witness_mu", "rho", "sigma",
+)
+
+
+@dataclass(frozen=True, repr=False)
 class StratumData:
-    """Full stratum descriptor attached to a witness weight vector."""
+    """Full stratum descriptor attached to a witness weight vector.
+
+    The witness is m / t, cleared once: m a vector of positive integers
+    and t a positive integer with gcd(m, t) = 1, so equal witnesses store
+    equal integers.  c_x and c_y are the breakpoints of m at the targets
+    g_Y and g_X (0 for a zero genus), the levels of the two foci on the
+    scale of m.  The rationals gamma, epsilon, witness_mu, rho and sigma
+    are made from these integers when they are read; the repr and the hash
+    are those of the tuple of public values.
+    """
 
     alpha: tuple[int, ...]
     I: frozenset
     beta: tuple[int, ...]
     J: frozenset
-    gamma: Fraction
-    epsilon: Fraction
-    alpha_tilde: int | None
-    beta_tilde: int | None
-    witness_mu: tuple[Fraction, ...]
-    rho: tuple[Fraction, ...]
-    sigma: tuple[Fraction, ...]
+    m: tuple[int, ...]
+    t: int
+    c_x: int
+    c_y: int
 
     @property
     def alpha_total(self) -> int:
@@ -99,40 +120,64 @@ class StratumData:
     def beta_total(self) -> int:
         return sum(self.beta)
 
+    @property
+    def gamma(self) -> Fraction:
+        return Fraction(self.c_x, self.t)
+
+    @property
+    def epsilon(self) -> Fraction:
+        return Fraction(self.c_y, self.t)
+
+    @property
+    def alpha_tilde(self) -> int | None:
+        """c_x / c_y in lowest terms, numerator; None when a genus is zero."""
+        return self.c_x // gcd(self.c_x, self.c_y) if self.c_x and self.c_y else None
+
+    @property
+    def beta_tilde(self) -> int | None:
+        """c_x / c_y in lowest terms, denominator; None when a genus is zero."""
+        return self.c_y // gcd(self.c_x, self.c_y) if self.c_x and self.c_y else None
+
+    @property
+    def witness_mu(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(mp, self.t) for mp in self.m)
+
+    @property
+    def rho(self) -> tuple[Fraction, ...]:
+        """mu_p (alpha_p + 1) - gamma at each node."""
+        c, t = self.c_x, self.t
+        return tuple(Fraction(mp * (a + 1) - c, t) for mp, a in zip(self.m, self.alpha))
+
+    @property
+    def sigma(self) -> tuple[Fraction, ...]:
+        """epsilon - mu_p beta_p at each node."""
+        c, t = self.c_y, self.t
+        return tuple(Fraction(c - mp * b, t) for mp, b in zip(self.m, self.beta))
+
+    def _values(self):
+        return tuple(getattr(self, name) for name in _VALUES)
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        body = ", ".join(f"{name}={value!r}" for name, value in zip(_VALUES, self._values()))
+        return f"{type(self).__qualname__}({body})"
+
 
 def stratum_of(config: CurveConfig, mu) -> StratumData:
     """Classify a positive rational weight vector.
 
     mu is cleared to integers once; both foci read their data off the
     breakpoint of that one integer vector (``numdata._breakpoint``), and
-    sigma and the level ratio come straight from the two breakpoints.
+    the descriptor keeps the vector, its scale and the two breakpoints.
     """
     mu = tuple(mu)
     if len(mu) != config.delta:
         raise ValueError("mu length must equal delta")
-    mu = _clean_mu(mu)
-    m, t = _integer_scaled(mu)
+    m, t = _integer_scaled(_clean_mu(mu))
     c_x, c_y = _breakpoint(m, config.g_y), _breakpoint(m, config.g_x)
-    data_x = _data_from_breakpoint(m, t, c_x)
-    beta, J = _pattern(m, c_y)
-    sigma = tuple(Fraction(c_y - mp * b, t) for mp, b in zip(m, beta))
-    alpha_tilde = beta_tilde = None
-    if config.g_x > 0 and config.g_y > 0:
-        ratio = Fraction(c_x, c_y)
-        alpha_tilde, beta_tilde = ratio.numerator, ratio.denominator
-    return StratumData(
-        alpha=data_x.alpha,
-        I=data_x.I,
-        beta=beta,
-        J=J,
-        gamma=data_x.level,
-        epsilon=Fraction(c_y, t),
-        alpha_tilde=alpha_tilde,
-        beta_tilde=beta_tilde,
-        witness_mu=mu,
-        rho=data_x.rho,
-        sigma=sigma,
-    )
+    return StratumData(*_pattern(m, c_x), *_pattern(m, c_y), tuple(m), t, c_x, c_y)
 
 
 def make_key(config: CurveConfig, alpha, I, beta, J) -> StratumKey:
@@ -360,12 +405,28 @@ def _precedes(m, n):
     return False
 
 
-def _classify_back(config: CurveConfig, m, alpha, I, beta, J) -> StratumData:
-    """``stratum_of`` of m / m_last, checked to land on its candidate."""
-    data = stratum_of(config, tuple(Fraction(mp, m[-1]) for mp in m))
-    if data.alpha != alpha or data.I != I or data.beta != beta or data.J != J:
+def _checked_witness(config: CurveConfig, alpha, I, beta, J, r):
+    """``_witness`` of a search leaf, checked to carry its candidate at its levels."""
+    m, levels = _witness(config, alpha, I, beta, J, r)
+    if not _at_levels(config, m, levels, alpha, I, beta, J):
+        raise AssertionError("witness does not carry its candidate at its own levels")
+    return m, levels
+
+
+def _classify_back(config: CurveConfig, m, levels, alpha, I, beta, J) -> StratumData:
+    """The StratumData of m / m_last, which carries its candidate at ``levels``.
+
+    The classification of m reads the data off its breakpoints at g_Y and
+    g_X (0 for a zero genus), so m lands on the candidate exactly when
+    those breakpoints are its levels (c, d); checked, then the descriptor
+    is built from them, cleared of the common factor of m.
+    """
+    if (_breakpoint(m, config.g_y), _breakpoint(m, config.g_x)) != levels:
         raise AssertionError("witness classification does not match the candidate")
-    return data
+    g = gcd(*m)
+    return StratumData(
+        alpha, I, beta, J, tuple(mp // g for mp in m), m[-1] // g, levels[0] // g, levels[1] // g
+    )
 
 
 def realizable(config: CurveConfig, alpha, I, beta, J):
@@ -380,8 +441,8 @@ def realizable(config: CurveConfig, alpha, I, beta, J):
     """
     alpha, I, beta, J = _validate_candidate(config, alpha, I, beta, J)
     for found in _search(config, (alpha, I, beta, J)):
-        m, _ = _witness(config, *found)
-        return _classify_back(config, m, alpha, I, beta, J).witness_mu
+        m, levels = _checked_witness(config, *found)
+        return _classify_back(config, m, levels, alpha, I, beta, J).witness_mu
     return None
 
 
@@ -394,24 +455,24 @@ def enumerate_strata(config: CurveConfig, cap: int | None = None, jobs: int = 1)
     Every positive rational weight vector classifies onto exactly one of
     the returned keys.  The stored representative keeps the witness that is
     lexicographically smallest once normalized (``_precedes``), so the
-    result does not depend on the search order, and only it is normalized
-    and classified back through ``stratum_of``.  More than ``cap`` realizable
-    candidates raise CapExceeded as soon as the search finds one too many,
-    so the cap bounds the work done.  ``jobs`` has no effect; it is
-    accepted so that existing callers keep working.
+    result does not depend on the search order.  Only it is classified
+    back, in integers: its breakpoints must be its levels
+    (``_classify_back``), and its StratumData is built from the witness and
+    those levels; no rational is made until a value is read.  More than
+    ``cap`` realizable candidates raise CapExceeded as soon as the search
+    finds one too many, so the cap bounds the work done.  ``jobs`` has no
+    effect; it is accepted so that existing callers keep working.
     """
     cap = DEFAULT_CAP if cap is None else cap
     kept: dict[StratumKey, tuple] = {}
     for passed, (alpha, I, beta, J, r) in enumerate(_search(config), 1):
         if passed > cap:
             raise CapExceeded(f"candidate count exceeded the cap {cap}")
-        m, levels = _witness(config, alpha, I, beta, J, r)
-        if not _at_levels(config, m, levels, alpha, I, beta, J):
-            raise AssertionError("witness does not carry its candidate at its own levels")
+        m, levels = _checked_witness(config, alpha, I, beta, J, r)
         key = make_key(config, alpha, I, beta, J)
         old = kept.get(key)
         if old is None or _precedes(m, old[0]):
-            kept[key] = (m, alpha, I, beta, J)
+            kept[key] = (m, levels, alpha, I, beta, J)
     return [_classify_back(config, *kept[k]) for k in sorted(kept, key=StratumKey.sort_token)]
 
 

@@ -12,16 +12,22 @@ slow way (each degenerate subspace by linear algebra, the pair
 fingerprints from their own coupling lattice), minors by Fraction
 Gaussian elimination, the base-change terms between the two Weierstrass
 presentations, the fiber divisor of a model and the twisted multidegrees
-component by component through ``intersection``.  The breakpoint of the
+component by component through ``intersection``.  Row reduction over the
+rationals checks the fraction-free ``linalg.rref``.  The breakpoint of the
 numerical data found by galloping out from 0 and bisecting checks the walk
-over node multiples in ``numdata``.  Stratum witnesses built in Fractions,
-and an enumeration that keeps the smallest Fraction witness per key, check
-the integer witnesses of ``strata``.
+over node multiples in ``numdata``, and conditions (a)-(d) checked in
+Fractions check the integer ``verify_conditions``.  The stratum descriptor
+with every value stored as a Fraction, the classification that fills it
+from two ``associated_data`` solutions, stratum witnesses built in
+Fractions, and an enumeration that keeps the smallest Fraction witness per
+key check the integer witnesses and the lazily read descriptor of
+``strata``.
 
 Only public names of ``limitcanon`` are imported, so these checks do not
 share the library's private helpers.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
@@ -35,7 +41,8 @@ from limitcanon.grassmann import (
 from limitcanon.linalg import hnf_rows, power_product, relation_lattice
 from limitcanon.model import DivisorOnModel, MultiDegree, component_genus, intersection
 from limitcanon.poset import neighborhood_radius
-from limitcanon.strata import StratumKey, make_key, stratum_key, stratum_of
+from limitcanon.numdata import associated_data
+from limitcanon.strata import StratumKey, make_key, stratum_key
 from limitcanon.tripartitions import Tripartition, pair_compatible, tripartitions
 
 # ---------------------------------------------------------------------------
@@ -191,6 +198,37 @@ def fraction_minors(rows, ncols):
     ]
 
 
+def fraction_rref(rows, ncols=None):
+    """Reduced row echelon form by Gauss-Jordan elimination over the rationals:
+    ``(reduced_rows, pivot_columns)``, zero rows dropped, pivots 1."""
+    mat = [[Fraction(x) for x in row] for row in rows]
+    if ncols is None:
+        ncols = len(mat[0]) if mat else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot = None
+        for i in range(r, len(mat)):
+            if mat[i][c] != 0:
+                pivot = i
+                break
+        if pivot is None:
+            continue
+        mat[r], mat[pivot] = mat[pivot], mat[r]
+        inv = mat[r][c]
+        mat[r] = [x / inv for x in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][c] != 0:
+                f = mat[i][c]
+                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(mat):
+            break
+    reduced = [tuple(row) for row in mat[:r]]
+    return reduced, pivots
+
+
 def _qualifying(n, h):
     return [t for t in tripartitions(range(n)) if len(t.first) < h <= n - len(t.last)]
 
@@ -310,8 +348,87 @@ def galloping_breakpoint(m, upsilon):
     return hi
 
 
+def fraction_verify_conditions(mu, upsilon, candidate):
+    """Conditions (a)-(d) checked in Fractions, for well-formed inputs."""
+    mu = tuple(Fraction(m) for m in mu)
+    if not mu or any(m <= 0 for m in mu):
+        return False
+    alpha, rho = candidate.alpha, candidate.rho
+    if len(alpha) != len(mu) or len(rho) != len(mu):
+        return False
+    if any(a != int(a) for a in alpha):
+        return False
+    rho = tuple(Fraction(r) for r in rho)
+    if any(not (0 < r <= m) for r, m in zip(rho, mu)):
+        return False
+    derived = frozenset(p for p, (r, m) in enumerate(zip(rho, mu)) if r == m)
+    if derived != candidate.I or not derived:
+        return False
+    total = sum(alpha)
+    if not (upsilon <= total < upsilon + len(derived)):
+        return False
+    levels = {m * (a + 1) - r for m, a, r in zip(mu, alpha, rho)}
+    if len(levels) != 1:
+        return False
+    return levels.pop() == candidate.level
+
+
 # ---------------------------------------------------------------------------
-# stratum witnesses in Fractions
+# strata in Fractions
+
+
+@dataclass(frozen=True)
+class StratumData:
+    """The stratum descriptor with every value stored, as Fractions.
+
+    ``limitcanon.strata.StratumData`` keeps integers and makes these values
+    when they are read; it must match this class field by field, and in
+    repr and hash, which is why the two share a name.
+    """
+
+    alpha: tuple
+    I: frozenset
+    beta: tuple
+    J: frozenset
+    gamma: Fraction
+    epsilon: Fraction
+    alpha_tilde: int | None
+    beta_tilde: int | None
+    witness_mu: tuple
+    rho: tuple
+    sigma: tuple
+
+
+def fraction_stratum_of(config, mu):
+    """Classify mu from the two foci's numerical data, in Fractions.
+
+    Focus X is the solution at target g_Y, focus Y the one at g_X; sigma is
+    mu - rho' of focus Y, and (alpha_tilde, beta_tilde) the ratio of the
+    levels in lowest terms when both genera are positive.
+    """
+    mu = tuple(Fraction(m) for m in mu)
+    if len(mu) != config.delta:
+        raise ValueError("mu length must equal delta")
+    x, y = associated_data(mu, config.g_y), associated_data(mu, config.g_x)
+    alpha_tilde = beta_tilde = None
+    if config.g_x > 0 and config.g_y > 0:
+        ratio = x.level / y.level
+        alpha_tilde, beta_tilde = ratio.numerator, ratio.denominator
+    return StratumData(
+        alpha=x.alpha,
+        I=x.I,
+        beta=y.alpha,
+        J=y.I,
+        gamma=x.level,
+        epsilon=y.level,
+        alpha_tilde=alpha_tilde,
+        beta_tilde=beta_tilde,
+        witness_mu=mu,
+        rho=x.rho,
+        sigma=tuple(m - r for m, r in zip(mu, y.rho)),
+    )
+
+
 
 
 def _between(lo, hi):
@@ -367,8 +484,8 @@ def fraction_enumeration(config, candidates):
     """The strata of the realizable candidates, the Fraction way.
 
     Per ``make_key`` the smallest ``fraction_witness`` (as a Fraction tuple)
-    is kept and classified by ``stratum_of``, in ``StratumKey.sort_token``
-    order.
+    is kept and classified by ``fraction_stratum_of``, in
+    ``StratumKey.sort_token`` order.
     """
     kept = {}
     for alpha, I, beta, J in candidates:
@@ -376,4 +493,4 @@ def fraction_enumeration(config, candidates):
         key = make_key(config, alpha, I, beta, J)
         if key not in kept or witness < kept[key]:
             kept[key] = witness
-    return [stratum_of(config, kept[key]) for key in sorted(kept, key=StratumKey.sort_token)]
+    return [fraction_stratum_of(config, kept[key]) for key in sorted(kept, key=StratumKey.sort_token)]

@@ -14,7 +14,7 @@ from limitcanon.linalg import (
     relation_lattice,
     rref,
 )
-from oracles import fraction_det, fraction_minors
+from oracles import fraction_det, fraction_minors, fraction_rref
 
 
 def test_rref_and_nullspace():
@@ -25,6 +25,23 @@ def test_rref_and_nullspace():
     for vec in nullspace(rows, 3):
         for row in rows:
             assert sum(Fraction(a) * b for a, b in zip(row, vec)) == 0
+
+
+def test_rref_matches_fraction_elimination():
+    # rational entries, zero rows, dependent rows, wide matrices, short ncols
+    rng = random.Random(17)
+    for _ in range(300):
+        h, n = rng.randint(0, 5), rng.randint(1, 7)
+        rows = [
+            [Fraction(rng.randint(-6, 6), rng.randint(1, 9)) if rng.random() < 0.7 else 0 for _ in range(n)]
+            for _ in range(h)
+        ]
+        if h > 2 and rng.random() < 0.4:
+            rows[-1] = [2 * a - b for a, b in zip(rows[0], rows[1])]
+        if h > 1 and rng.random() < 0.2:
+            rows[rng.randrange(h)] = [0] * n
+        ncols = rng.choice([None, n, rng.randint(0, n)])
+        assert rref(rows, ncols) == fraction_rref(rows, ncols)
 
 
 def test_det_and_minors():

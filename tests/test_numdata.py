@@ -87,6 +87,27 @@ def test_verify_conditions_rejects_inconsistent_locus():
     assert not verify_conditions((1, 2), 1, bad)
 
 
+def test_verify_conditions_rejects_rho_out_of_range_and_an_off_scale_level():
+    # each candidate meets every condition but one: rho_p = 0, rho_p > mu_p,
+    # and a level 1/4 whose denominator neither mu nor rho has
+    one = Fraction(1)
+    assert not verify_conditions((1, 1), 1, NumericalData((0, 1), (Fraction(0), one), frozenset({1}), one))
+    assert not verify_conditions((1, 1), 3, NumericalData((2, 1), (Fraction(2), one), frozenset({1}), one))
+    assert verify_conditions((1, 1), 0, NumericalData((0, 0), (one, one), frozenset({0, 1}), Fraction(0)))
+    assert not verify_conditions((1, 1), 0, NumericalData((0, 0), (one, one), frozenset({0, 1}), Fraction(1, 4)))
+
+
+def test_verify_conditions_is_false_on_malformed_candidates():
+    # entries that are no number: a False verdict, not an exception
+    good = associated_data((1, 1), 1)
+    for bad in (
+        NumericalData(("x", 1), good.rho, good.I, good.level),
+        NumericalData(good.alpha, ("a", Fraction(1)), good.I, good.level),
+        NumericalData(good.alpha, (None, Fraction(1)), good.I, good.level),
+    ):
+        assert verify_conditions((1, 1), 1, bad) is False
+
+
 def test_errors():
     with pytest.raises(ValueError):
         associated_data((), 1)

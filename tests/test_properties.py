@@ -1,6 +1,6 @@
 """Property tests of classification, witnesses, the level check, the
-breakpoint walk, the model's node pass, Weierstrass totals and closures
-(hypothesis).
+breakpoint walk, the integer condition check, the model's node pass,
+Weierstrass totals and closures (hypothesis).
 
 The profile registered in ``conftest.py`` keeps them deterministic.
 """
@@ -24,11 +24,18 @@ from limitcanon.model import (
     intersection_matrix,
     multidegree_of_twisted_dualizing,
 )
-from limitcanon.numdata import _breakpoint, associated_data, scan_oracle
+from dataclasses import fields, replace
+
+from limitcanon.numdata import _breakpoint, associated_data, scan_oracle, verify_conditions
 from limitcanon.poset import build_poset
 from limitcanon.strata import _search, _witness, enumerate_strata, stratum_key, stratum_of
 from limitcanon.weier import weierstrass_degrees
-from oracles import galloping_breakpoint, pairwise_multidegree
+from oracles import (
+    fraction_stratum_of,
+    fraction_verify_conditions,
+    galloping_breakpoint,
+    pairwise_multidegree,
+)
 
 positive = st.fractions(min_value=Fraction(1, 64), max_value=64, max_denominator=64)
 
@@ -62,6 +69,56 @@ def test_stratum_of_is_two_associated_data_calls(case):
     assert (s.beta, s.J, s.epsilon) == (y.alpha, y.I, y.level)
     assert s.sigma == tuple(m - r for m, r in zip(mu, y.rho))
     assert s.witness_mu == mu
+
+
+# random rationals, integers (integral vectors) and multiples of a few small units
+entries = st.one_of(positive, st.integers(1, 12).map(Fraction), st.integers(1, 9).map(lambda k: Fraction(k, 6)))
+
+
+@given(configs(), st.data())
+def test_stratum_of_matches_the_fraction_oracle(cfg, data):
+    # configs() draws zero genera too; every value, the repr and the hash agree
+    mu = tuple(data.draw(st.lists(entries, min_size=cfg.delta, max_size=cfg.delta)))
+    s, want = stratum_of(cfg, mu), fraction_stratum_of(cfg, mu)
+    for f in fields(want):
+        assert getattr(s, f.name) == getattr(want, f.name), f.name
+    assert repr(s) == repr(want) and hash(s) == hash(want)
+
+
+# which field to change (none, an alpha entry, a rho entry, a rho entry to mu_p,
+# a node of I, the level), at which node and by how much
+tampering = st.tuples(
+    st.sampled_from(["none", "alpha", "rho", "rho_to_mu", "I", "level"]),
+    st.integers(0, 4),
+    st.sampled_from([Fraction(k, 4) for k in (-8, -4, -2, -1, 1, 2, 4, 8)]),
+)
+
+
+def _tampered(solution, mu, how):
+    """The solution with at most one field changed."""
+    field, p, shift = how
+    p %= len(mu)
+    if field == "alpha":
+        alpha = list(solution.alpha)
+        alpha[p] += int(shift) or 1
+        return replace(solution, alpha=tuple(alpha))
+    if field in ("rho", "rho_to_mu"):
+        rho = list(solution.rho)
+        rho[p] = mu[p] if field == "rho_to_mu" else rho[p] + shift
+        return replace(solution, rho=tuple(rho))
+    if field == "I":
+        return replace(solution, I=solution.I ^ {p})
+    if field == "level":
+        return replace(solution, level=solution.level + shift)
+    return solution
+
+
+@given(st.lists(entries, min_size=1, max_size=5), st.integers(-6, 12), tampering)
+def test_verify_conditions_matches_the_fraction_oracle(mu, upsilon, how):
+    solution = associated_data(mu, upsilon)
+    assert verify_conditions(mu, upsilon, solution)
+    candidate = _tampered(solution, mu, how)
+    assert verify_conditions(mu, upsilon, candidate) == fraction_verify_conditions(mu, upsilon, candidate)
 
 
 @lru_cache(maxsize=None)

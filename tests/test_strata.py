@@ -13,6 +13,7 @@ from conftest import level_verdicts, rand_config_triple, rand_mu
 from fm import joint_witness
 from limitcanon import strata
 from limitcanon.model import CurveConfig
+from limitcanon.numdata import _breakpoint
 from limitcanon.strata import (
     CapExceeded,
     _node_interval,
@@ -334,16 +335,18 @@ def test_level_check_agrees_with_stratum_of_on_perturbed_witnesses():
 
 @pytest.mark.parametrize("triple", [(2, 4, 3), (3, 5, 4), (4, 0, 4)])
 def test_enumerate_classifies_only_the_kept_representatives(monkeypatch, triple):
-    # stratum_of runs once per returned stratum, on its witness, and on no other candidate
+    # the classify-back takes the two breakpoints of each returned stratum's
+    # integer witness, at g_Y then g_X, and of no other candidate's
     seen = []
 
-    def counting(config, mu):
-        seen.append(tuple(mu))
-        return stratum_of(config, mu)
+    def counting(m, upsilon):
+        seen.append((tuple(Fraction(mp, m[-1]) for mp in m), upsilon))
+        return _breakpoint(m, upsilon)
 
-    monkeypatch.setattr(strata, "stratum_of", counting)
-    found = enumerate_strata(CurveConfig(*triple))
-    assert seen == [s.witness_mu for s in found]
+    monkeypatch.setattr(strata, "_breakpoint", counting)
+    cfg = CurveConfig(*triple)
+    found = enumerate_strata(cfg)
+    assert seen == [(s.witness_mu, g) for s in found for g in (cfg.g_y, cfg.g_x)]
 
 
 SWEEP_GRID = [(g_x, g_y, d) for d in (2, 3) for g_x in range(6) for g_y in range(6) if g_x or g_y]
@@ -372,6 +375,8 @@ def test_enumerate_matches_the_fraction_oracle_enumeration(grid):
         want = fraction_enumeration(cfg, [found[:4] for found in _search(cfg)])
         assert len(got) == len(want), triple
         for s, t in zip(got, want):
-            for f in fields(s):
+            # the oracle stores every public value, rho, sigma, gamma and epsilon included
+            for f in fields(t):
                 assert getattr(s, f.name) == getattr(t, f.name), (triple, f.name)
             assert repr(s) == repr(t)
+            assert hash(s) == hash(t)
