@@ -22,14 +22,13 @@ from .model import (
     twist_divisor_focus_X,
     twist_divisor_focus_Y,
 )
-from .numdata import NumericalData, associated_data, scan_oracle, verify_conditions
+from .numdata import NumericalData, associated_data, verify_conditions
 from .poset import (
     ClosurePoset,
     build_poset,
     closure_of,
     components,
     count_formulas,
-    neighborhood_sample_check,
 )
 from .strata import (
     CapExceeded,
@@ -70,11 +69,9 @@ __all__ = [
     "enumerate_strata",
     "intersection",
     "multidegree_of_twisted_dualizing",
-    "neighborhood_sample_check",
     "pluecker_ramification_degree",
     "realizable",
     "region",
-    "scan_oracle",
     "stratum_dim",
     "stratum_key",
     "stratum_of",

@@ -27,12 +27,13 @@ Orbits are identified here by
 *fingerprints*: the Pluecker support pattern together with the values of a
 canonical basis of torus-invariant ratio monomials (the relation lattice of
 the support's exponent differences).  Fingerprint equality decides orbit
-equality over an algebraically closed field, while membership questions are
+equality over an algebraically closed field, so W is in the closure of the
+orbit of V when its support is some S(T) and its invariants there are V's.
+A coupled pair, whose coupling binds only the shared middle nodes, is
 decided by an integer-lattice consistency test on the prescribed ratios
-(the ratio system is solvable over an algebraically closed extension iff
-every integer relation among the exponent vectors forces the matching
-product of ratios to be 1); no root extraction is ever attempted, and
-everything stays in exact rational arithmetic.
+(solvable over an algebraically closed extension iff every integer relation
+among the exponent vectors forces the matching product of ratios to be 1).
+No root extraction is ever attempted; everything stays exact.
 
 The two-factor version couples subspaces V in k^I and W in k^J along the
 subtorus  {(s, t) : s_i^tau t_j^lam = s_j^tau t_i^lam for i, j in I cap J}
@@ -49,11 +50,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
+from types import MappingProxyType
 
 from .linalg import (
+    _bareiss,
     _integer_scaled,
     hnf_rows,
-    maximal_minors,
     monomial_system_solvable,
     nullspace,
     power_product,
@@ -77,6 +79,8 @@ class Subspace:
     """Exact rational subspace of k^n, canonicalized to row echelon form."""
 
     def __init__(self, basis, ambient: int | None = None):
+        if ambient is not None and ambient < 0:
+            raise ValueError(f"the ambient size must be nonnegative, got {ambient}")
         rows = [tuple(Fraction(x) for x in row) for row in basis]
         if rows:
             n = len(rows[0])
@@ -128,20 +132,6 @@ class PlueckerVector:
 
 
 @dataclass(frozen=True)
-class OnePSG:
-    """One-parameter subgroup r -> (scalars_i * r^exponents_i)."""
-
-    exponents: tuple[int, ...]
-    scalars: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        if len(self.exponents) != len(self.scalars):
-            raise ValueError("exponents and scalars must have equal length")
-        if any(s == 0 for s in self.scalars):
-            raise ValueError("scalars must be nonzero")
-
-
-@dataclass(frozen=True)
 class OrbitFingerprint:
     support: tuple
     invariants: tuple
@@ -157,17 +147,20 @@ class PairFingerprint:
 def pluecker(V: Subspace) -> PlueckerVector:
     """Pluecker coordinates of the canonical basis, normalized projectively.
 
-    Each row is cleared of denominators first: that multiplies every
-    maximal minor by the same factor, which the normalization removes, and
-    leaves integer determinants.
+    Each row is cleared of denominators once, which scales every maximal
+    minor by one factor that the normalization removes; each minor is then
+    an integer Bareiss determinant of the cleared rows.
     """
     _desk_guard(V.ambient, V.dim)
     if V.dim == 0:
         return PlueckerVector(V.ambient, 0, (Fraction(1),))
-    minors = maximal_minors([_integer_scaled(row)[0] for row in V.rows], V.ambient)
-    values = [v for _, v in minors]
-    scale = next(v for v in values if v != 0)
-    return PlueckerVector(V.ambient, V.dim, tuple(v / scale for v in values))
+    rows = [_integer_scaled(row)[0] for row in V.rows]
+    minors = [
+        _bareiss([[row[c] for c in cols] for row in rows])
+        for cols in combinations(range(V.ambient), V.dim)
+    ]
+    scale = next(v for v in minors if v)
+    return PlueckerVector(V.ambient, V.dim, tuple(Fraction(v, scale) for v in minors))
 
 
 def _units(n, positions):
@@ -224,24 +217,6 @@ def _masked(pv: PlueckerVector, supp) -> PlueckerVector:
     """pv with every coordinate outside supp set to zero."""
     coords = tuple(c if b in supp else Fraction(0) for b, c in zip(pv.subsets(), pv.coords))
     return PlueckerVector(pv.ambient, pv.dim, coords)
-
-
-def limit_pluecker(V: Subspace, psg: OnePSG) -> PlueckerVector:
-    """Pluecker coordinates of the limit of psg(r) . V as r goes to 0."""
-    pv = pluecker(V)
-    if len(psg.exponents) != V.ambient:
-        raise ValueError("one-parameter subgroup size must match the ambient")
-    supp = _limit_support(pv, psg.exponents)
-    out = [
-        c * power_product(psg.scalars, _vec(b, V.ambient)) if b in supp else Fraction(0)
-        for b, c in zip(pv.subsets(), pv.coords)
-    ]
-    scale = next(v for v in out if v != 0)
-    return PlueckerVector(V.ambient, V.dim, tuple(v / scale for v in out))
-
-
-def _vec(cols, n):
-    return tuple(1 if i in cols else 0 for i in range(n))
 
 
 def _support_characters(supp, width: int, offset: int = 0):
@@ -309,10 +284,10 @@ def _interval_support(tri: Tripartition, n: int, h: int):
 
 @lru_cache(maxsize=None)
 def _closure_shapes(n: int, h: int):
-    """For each distinct S(T) over the qualifying tripartitions T: the
-    support, the positions of its members among the h-subsets, and the
-    relation lattice of its torus characters.  Depends on (n, h) only; the
-    desk guard keeps the cache to a few dozen immutable entries."""
+    """Read-only map from each distinct S(T) over the qualifying
+    tripartitions T to the positions of its members among the h-subsets and
+    the relation lattice of its torus characters.  Depends on (n, h) only;
+    the desk guard keeps the cache to a few dozen entries."""
     position = {b: k for k, b in enumerate(combinations(range(n), h))}
     shapes = {}
     for tri in _qualifying(n, h):
@@ -320,7 +295,15 @@ def _closure_shapes(n: int, h: int):
         if supp not in shapes:
             relations = tuple(relation_lattice(_support_characters(supp, n)))
             shapes[supp] = (tuple(position[b] for b in supp), relations)
-    return tuple((supp, positions, relations) for supp, (positions, relations) in shapes.items())
+    return MappingProxyType(shapes)
+
+
+def _invariants(pv: PlueckerVector, positions, relations):
+    """The lattice's products of the ratios pv_b / pv_base over one closure
+    shape, base its first member."""
+    base = pv.coords[positions[0]]
+    values = [pv.coords[k] / base for k in positions[1:]]
+    return tuple(power_product(values, rel) for rel in relations)
 
 
 def closure_orbit_set(V: Subspace):
@@ -332,12 +315,10 @@ def closure_orbit_set(V: Subspace):
     _desk_guard(V.ambient, V.dim)
     pv = pluecker(V)
     _require_general_position(pv)
-    out = set()
-    for supp, positions, relations in _closure_shapes(V.ambient, V.dim):
-        base = pv.coords[positions[0]]
-        values = [pv.coords[k] / base for k in positions[1:]]
-        out.add(OrbitFingerprint(supp, tuple(power_product(values, rel) for rel in relations)))
-    return frozenset(out)
+    return frozenset(
+        OrbitFingerprint(supp, _invariants(pv, *shape))
+        for supp, shape in _closure_shapes(V.ambient, V.dim).items()
+    )
 
 
 def _support_parts(supp, n: int):
@@ -351,15 +332,15 @@ def _support_parts(supp, n: int):
 
 
 def in_closure(W: Subspace, V: Subspace) -> bool:
-    """Exact membership of W in the closure of the torus orbit of V."""
+    """Exact membership of W in the closure of the torus orbit of V: W's
+    support is some S(T) and its invariants there are V's (the orbit of V_T)."""
     if W.ambient != V.ambient or W.dim != V.dim:
         raise ValueError("subspaces must share ambient and dimension")
     pv = pluecker(V)
     _require_general_position(pv)
     qw = pluecker(W)
-    if not _support_parts(qw.support(), W.ambient)[1]:
-        return False
-    return monomial_system_solvable(*_characters(qw, W.ambient, reference=pv))
+    shape = _closure_shapes(W.ambient, W.dim).get(qw.support())
+    return shape is not None and _invariants(qw, *shape) == _invariants(pv, *shape)
 
 
 def brute_force_closure_fingerprints(V: Subspace, bound: int = 3):

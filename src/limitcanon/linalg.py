@@ -3,17 +3,17 @@
 Everything works with ``fractions.Fraction`` (or int) entries; floating
 point is never used.  Matrices are sequences of row tuples.  The sizes in
 this package are tiny (ambient dimension at most 6 or 7), so the plain
-O(n^3) algorithms are fine.  Row reduction and determinants clear each
-row's denominators once and eliminate fraction-free in integers (Bareiss
-for determinants); row reduction divides by the pivots only when it writes
-the reduced rows.
+O(n^3) algorithms are fine.  Row reduction clears each row's denominators
+once and eliminates fraction-free in integers, dividing by the pivots only
+when it writes the reduced rows.  There is no general rational
+determinant: ``_bareiss`` takes the determinant of an integer matrix, and
+``grassmann.pluecker`` calls it on basis rows it has cleared itself.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
-from math import gcd, lcm, prod
+from math import gcd, lcm
 
 
 def rref(rows, ncols=None):
@@ -103,24 +103,6 @@ def _bareiss(mat):
                 row_i[j] = (row_i[j] * pk - f * row_k[j]) // prev
         prev = pk
     return sign * mat[n - 1][n - 1] if n else 1
-
-
-def det(rows):
-    """Exact determinant: each row cleared of denominators, then Bareiss."""
-    scaled = [_integer_scaled(row) for row in rows]
-    return Fraction(_bareiss([m for m, _ in scaled]), prod(t for _, t in scaled))
-
-
-def maximal_minors(rows, ncols):
-    """All h x h minors of an h x n matrix, keyed by the column subset.
-
-    Returns a list of ``(columns, value)`` with column subsets in
-    lexicographic order.
-    """
-    return [
-        (cols, det([[row[c] for c in cols] for row in rows]))
-        for cols in combinations(range(ncols), len(rows))
-    ]
 
 
 def _col_addmul(mat, u, j, j0, q):

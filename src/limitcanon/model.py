@@ -8,6 +8,10 @@ module builds the dual graph, its intersection pairing (self-intersections
 are forced by the total fiber being numerically trivial), the two standard
 twist divisors supported off X resp. off Y, and the multidegrees of the
 dualizing sheaf twisted by such divisors.
+
+As in the paper, the nodes are general points of X and Y: the library
+assumes general position throughout, and the dimension formulas
+(``aspect_dimensions`` here, ``strata.stratum_dim``) hold under it.
 """
 
 from __future__ import annotations
@@ -33,7 +37,6 @@ class CurveConfig:
     g_y: int
     delta: int
     labels: tuple[str, ...] = ()
-    general_position: bool = True
 
     def __post_init__(self):
         if self.delta < 1:
@@ -237,13 +240,8 @@ def correction_numbers(stratum):
 
 
 def aspect_dimensions(config: CurveConfig, stratum) -> dict:
-    """Section counts and codimensions of the two limit canonical aspects.
-
-    Only valid under the general-position assumption, which the config must
-    assert.
-    """
-    if not config.general_position:
-        raise ValueError("aspect dimension formulas need general position")
+    """Section counts and codimensions of the two limit canonical aspects,
+    for nodes in general position."""
     a_total = sum(stratum.alpha)
     b_total = sum(stratum.beta)
     size_i = len(stratum.I)

@@ -26,8 +26,8 @@ increasing order from a lower bracket c0 with F(c0) < upsilon, at which
 fewer than 2 * delta jumps remain, so a call costs O(delta log delta)
 whatever upsilon is.  ``associated_data`` (one target) and
 ``strata.stratum_of`` (both foci, one clearing of mu) read the solution off
-it; ``scan_oracle`` finds the breakpoint by a deliberately naive linear scan
-and is kept as an independent cross-check played against it.
+it.  The test suite keeps a deliberately naive scan over the breakpoints as
+the independent cross-check played against it.
 
 All arithmetic is exact and stays in integers until a value is read.  A
 rational mu is cleared to an integer vector m = t * mu first; by
@@ -77,12 +77,6 @@ def _pattern(m, c):
     return tuple(c // mp for mp in m), frozenset(p for p, mp in enumerate(m) if c % mp == 0)
 
 
-def _data_from_breakpoint(m, t, c):
-    alpha, members = _pattern(m, c)
-    rho = tuple(Fraction(mp * (a + 1) - c, t) for mp, a in zip(m, alpha))
-    return NumericalData(alpha, rho, members, Fraction(c, t))
-
-
 def _breakpoint(m, upsilon: int) -> int:
     """The breakpoint c with F(c-) < upsilon <= F(c), F(c) = sum floor(c / m_p).
 
@@ -109,7 +103,10 @@ def _breakpoint(m, upsilon: int) -> int:
 def associated_data(mu, upsilon: int) -> NumericalData:
     """Solve for the unique (alpha, rho, I) attached to (mu, upsilon)."""
     m, t = _integer_scaled(_clean_mu(mu))
-    return _data_from_breakpoint(m, t, _breakpoint(m, upsilon))
+    c = _breakpoint(m, upsilon)
+    alpha, members = _pattern(m, c)
+    rho = tuple(Fraction(mp * (a + 1) - c, t) for mp, a in zip(m, alpha))
+    return NumericalData(alpha, rho, members, Fraction(c, t))
 
 
 def _ratio(value):
@@ -150,33 +147,3 @@ def verify_conditions(mu, upsilon: int, candidate: NumericalData) -> bool:
         return False
     target = level[0] * (scale // level[1])
     return all(mp * (a + 1) - r == target for mp, a, r in zip(m, whole, rho))
-
-
-def scan_oracle(mu, upsilon: int) -> NumericalData:
-    """Brute-force solution: walk the breakpoints upward, test each one.
-
-    Intentionally naive; kept independent of the walk over node multiples
-    so the two can be played against each other in tests.
-    """
-    mu = _clean_mu(mu)
-    m, t = _integer_scaled(mu)
-
-    def jumps(c):
-        return sum(c // mp for mp in m)
-
-    lo, step = 0, 1
-    while jumps(lo) >= upsilon:
-        lo -= step
-        step *= 2
-    c = lo
-    guard = 0
-    while True:
-        c = min((c // mp + 1) * mp for mp in m)  # next breakpoint
-        total = jumps(c)
-        if total >= upsilon:  # below this the third condition already fails
-            candidate = _data_from_breakpoint(m, t, c)
-            if verify_conditions(mu, upsilon, candidate):
-                return candidate
-        guard += 1
-        if total >= upsilon + len(m) or guard > 10 ** 7:
-            raise AssertionError("breakpoint scan exhausted without a solution")

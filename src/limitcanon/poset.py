@@ -17,9 +17,9 @@ degenerations by that trace and takes the closure as a union of products
 of per-side key sets, one product per compatible pair of traces.  The
 pairwise enumeration, which keys every compatible pair of tripartitions
 and builds a perturbation reaching each, lives with the tests as their
-independent oracle (``tests/oracles.py``).  Sampling weight vectors in an
-explicit neighborhood of a witness (``neighborhood_sample_check``) is a
-second independent check and never enters the production path.
+independent oracle (``tests/oracles.py``), beside a second one that samples
+weight vectors in the neighborhood of a witness that ``neighborhood_radius``
+bounds.
 
 Irreducible components are counted as the maximal strata of the closure
 poset; strata are pairwise disjoint and each is irreducible, so maximal
@@ -28,15 +28,13 @@ stratum closures are exactly the components.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb, gcd
 
 from .model import CurveConfig
-from .linalg import _integer_scaled
-from .strata import StratumData, StratumKey, enumerate_strata, stratum_dim, stratum_key, stratum_of
+from .strata import StratumData, StratumKey, enumerate_strata, stratum_dim, stratum_key
 from .tripartitions import Tripartition, pair_compatible
 
 __all__ = [
@@ -47,7 +45,6 @@ __all__ = [
     "components",
     "count_formulas",
     "neighborhood_radius",
-    "neighborhood_sample_check",
     "to_dot",
 ]
 
@@ -190,46 +187,21 @@ def count_formulas(config: CurveConfig) -> dict:
     }
 
 
-def _integral_witness(s: StratumData):
-    """Scale the witness (and rho, sigma along with it) to integer entries."""
-    mu, t = _integer_scaled(s.witness_mu)
-    rho = tuple(Fraction(r) * t for r in s.rho)
-    sigma = tuple(Fraction(x) * t for x in s.sigma)
-    return tuple(mu), rho, sigma
-
-
 def neighborhood_radius(s: StratumData):
     """Integral witness plus the coordinate radius of its safe neighborhood.
 
-    The radius is the smallest nonzero value among rho_q, mu_q - rho_q,
-    sigma_q and mu_q - sigma_q over all nodes q, divided by three times one
-    plus the largest correction number.
+    The integral witness is the descriptor's cleared vector m, and rho and
+    sigma are taken on its scale t.  The radius is the smallest nonzero
+    value among rho_q, mu_q - rho_q, sigma_q and mu_q - sigma_q over all
+    nodes q, divided by three times one plus the largest correction number.
     """
-    mu, rho, sigma = _integral_witness(s)
+    mu, t = s.m, s.t
     pool = []
-    for q in range(len(mu)):
-        pool.extend(v for v in (rho[q], mu[q] - rho[q], sigma[q], mu[q] - sigma[q]) if v != 0)
-    min_star = min(pool)
+    for m, r, x in zip(mu, s.rho, s.sigma):
+        r, x = r * t, x * t
+        pool.extend(v for v in (r, m - r, x, m - x) if v != 0)
     denom = 3 * (1 + max(max(a, b) for a, b in zip(s.alpha, s.beta)))
-    return mu, Fraction(min_star, denom)
-
-
-def neighborhood_sample_check(
-    config: CurveConfig, s: StratumData, samples: int = 200, seed: int = 0, closure=None
-) -> dict:
-    """Sample weight vectors near the witness; each must classify into the
-    predicted closure.  Report-based: returns the violations, never raises."""
-    mu, radius = neighborhood_radius(s)
-    allowed = closure_of(config, s) if closure is None else closure
-    rng = random.Random(seed)
-    violations = []
-    for _ in range(samples):
-        eps = [radius * Fraction(rng.randint(-999, 999), 1000) for _ in mu]
-        shifted = tuple(Fraction(m) + e for m, e in zip(mu, eps))
-        key = stratum_key(config, stratum_of(config, shifted))
-        if key not in allowed:
-            violations.append((shifted, key))
-    return {"samples": samples, "violations": violations, "ok": not violations}
+    return mu, Fraction(min(pool), denom)
 
 
 def _key_label(config, key: StratumKey, dim: int) -> str:

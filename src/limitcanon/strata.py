@@ -197,8 +197,6 @@ def stratum_key(config: CurveConfig, s: StratumData) -> StratumKey:
 
 def stratum_dim(config: CurveConfig, s) -> dict:
     """Dimensions of the stratum and of its two Grassmannian projections."""
-    if not config.general_position:
-        raise ValueError("dimension formulas need general position")
     a_total, b_total = sum(s.alpha), sum(s.beta)
     big_a, big_b = a_total > config.g_y, b_total > config.g_x
     dim_x = len(s.I) - 1 if big_a else 0
@@ -305,27 +303,23 @@ def _leaf_ratio(state):
     return lo[0] * hi[1] + hi[0] * lo[1], 2 * lo[1] * hi[1]
 
 
-def _search(config: CurveConfig, fixed=None):
+def _search(config: CurveConfig):
     """Depth-first search over the nodes for every realizable candidate.
 
     Yields (alpha, I, beta, J, r), r an integer pair (``_leaf_ratio``).
     At node p it chooses (alpha_p, p in I), then (beta_p, p in J), skipping
     a weight that can no longer reach its side's window (``_reachable``);
     with both genera positive it narrows the r-interval (``_narrow``) and
-    prunes once it is empty; with a zero genus r stays 1.  ``fixed`` =
-    (alpha, I, beta, J) restricts every node to that candidate's choice.
+    prunes once it is empty; with a zero genus r stays 1.
     """
     delta, joint = config.delta, config.g_x > 0 and config.g_y > 0
 
-    def choices(genus, given, p):
-        if given is not None:
-            return ((given[0][p], p in given[1]),)
+    def choices(genus):
         if genus == 0:
             return ((0, True),)
         return ((0, False),) + tuple((w, on) for w in range(1, genus + 1) for on in (False, True))
 
-    sides = ((config.g_y, fixed and fixed[:2]), (config.g_x, fixed and fixed[2:]))
-    options = [tuple(choices(genus, given, p) for genus, given in sides) for p in range(delta)]
+    options_i, options_j = choices(config.g_y), choices(config.g_x)
 
     def descend(alpha, I, sum_a, beta, J, sum_b, state):
         p = len(alpha)
@@ -333,11 +327,11 @@ def _search(config: CurveConfig, fixed=None):
             yield alpha, frozenset(I), beta, frozenset(J), _leaf_ratio(state)
             return
         left = delta - 1 - p
-        for a, in_i in options[p][0]:
+        for a, in_i in options_i:
             locus_i = I + (p,) if in_i else I
             if not _reachable(config.g_y, sum_a + a, len(locus_i), left):
                 continue
-            for b, in_j in options[p][1]:
+            for b, in_j in options_j:
                 locus_j = J + (p,) if in_j else J
                 if not _reachable(config.g_x, sum_b + b, len(locus_j), left):
                     continue
@@ -434,16 +428,21 @@ def realizable(config: CurveConfig, alpha, I, beta, J):
 
     Malformed candidates (non-integer weights, bounds violated, empty loci,
     zero entries where positivity is forced) raise ValueError.  A
-    well-formed candidate is realizable when the node search, each node
-    fixed to the candidate's choice, reaches a leaf; otherwise the result
-    is None.  A returned witness is normalized so its last coordinate is 1
-    and is guaranteed to classify back onto the candidate.
+    well-formed candidate passes every window test of the node search, so
+    it is realizable exactly when narrowing the r-interval over its nodes
+    (``_narrow``) leaves it nonempty; otherwise the result is None.  The
+    witness, built from the ratio that yields (``_leaf_ratio``), has last
+    coordinate 1 and is guaranteed to classify back onto the candidate.
     """
     alpha, I, beta, J = _validate_candidate(config, alpha, I, beta, J)
-    for found in _search(config, (alpha, I, beta, J)):
-        m, levels = _checked_witness(config, *found)
-        return _classify_back(config, m, levels, alpha, I, beta, J).witness_mu
-    return None
+    state = ((0, 1), None, None)
+    if config.g_x > 0 and config.g_y > 0:
+        for p, (a, b) in enumerate(zip(alpha, beta)):
+            state = _narrow(state, a, p in I, b, p in J)
+            if state is None:
+                return None
+    m, levels = _checked_witness(config, alpha, I, beta, J, _leaf_ratio(state))
+    return _classify_back(config, m, levels, alpha, I, beta, J).witness_mu
 
 
 def enumerate_strata(config: CurveConfig, cap: int | None = None, jobs: int = 1):
@@ -483,10 +482,6 @@ class Constraint:
     coeffs: tuple[int, ...]
     relation: str  # "eq" or "gt"
 
-    def holds(self, mu) -> bool:
-        value = sum(Fraction(c) * Fraction(m) for c, m in zip(self.coeffs, mu))
-        return value == 0 if self.relation == "eq" else value > 0
-
 
 @dataclass(frozen=True)
 class RegionDescription:
@@ -495,9 +490,6 @@ class RegionDescription:
     constraints: tuple[Constraint, ...]
     note: str
     base_index: int
-
-    def satisfies(self, mu) -> bool:
-        return all(c.holds(mu) for c in self.constraints)
 
 
 def _row(delta, relation, *terms):

@@ -5,44 +5,52 @@ The pairwise closure rules: ``admissible`` lists the tripartitions
 ``coupling_case`` names which of the three coupling patterns a compatible
 pair follows on the shared nodes, and ``direction_probes`` builds, for
 every compatible pair, a perturbation of the witness that lands in the
-pair's stratum: the constructive cross-check of ``poset.closure_of``.
-Beside them sit the binomial orbit-closure equations, the standard
-one-parameter subgroup of a tripartition, the closure sets computed the
-slow way (each degenerate subspace by linear algebra, the pair
-fingerprints from their own coupling lattice), minors by Fraction
-Gaussian elimination, the base-change terms between the two Weierstrass
-presentations, the fiber divisor of a model and the twisted multidegrees
-component by component through ``intersection``.  Row reduction over the
-rationals checks the fraction-free ``linalg.rref``.  The breakpoint of the
-numerical data found by galloping out from 0 and bisecting checks the walk
-over node multiples in ``numdata``, and conditions (a)-(d) checked in
-Fractions check the integer ``verify_conditions``.  The stratum descriptor
-with every value stored as a Fraction, the classification that fills it
-from two ``associated_data`` solutions, stratum witnesses built in
-Fractions, and an enumeration that keeps the smallest Fraction witness per
-key check the integer witnesses and the lazily read descriptor of
-``strata``.
+pair's stratum: the constructive cross-check of ``poset.closure_of``;
+``neighborhood_sample_check`` samples weight vectors near a witness, each of
+which must classify into the predicted closure.  Beside them sit the
+binomial orbit-closure equations, one-parameter subgroups and the
+Pluecker vector of a limit under one (``limit_pluecker``), with the
+standard subgroup of a tripartition, the closure sets computed the slow
+way (each degenerate subspace by linear algebra, the pair fingerprints
+from their own coupling lattice), single-orbit membership by the
+integer-lattice test on the ratios (``lattice_in_closure``), minors by
+Fraction Gaussian elimination, the base-change terms between the two
+Weierstrass presentations, the fiber divisor of a model and the twisted
+multidegrees component by component through ``intersection``.  Row
+reduction over the rationals checks the fraction-free ``linalg.rref``.  A
+naive scan over the breakpoints (``scan_oracle``) and the breakpoint found
+by galloping out from 0 and bisecting check the walk over node multiples
+in ``numdata``, and conditions (a)-(d) checked in Fractions check the
+integer ``verify_conditions``.  The stratum descriptor with every value
+stored as a Fraction, the classification that fills it from two
+``associated_data`` solutions, stratum witnesses built in Fractions, and an
+enumeration that keeps the smallest Fraction witness per key check the
+integer witnesses and the lazily read descriptor of ``strata``;
+``region_satisfies`` evaluates the constraints of a ``strata.region``
+description in Fractions.
 
 Only public names of ``limitcanon`` are imported, so these checks do not
 share the library's private helpers.
 """
 
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 from limitcanon.grassmann import (
-    OnePSG,
     PairFingerprint,
+    PlueckerVector,
     orbit_fingerprint,
     pluecker,
     tripartition_degenerate,
 )
-from limitcanon.linalg import hnf_rows, power_product, relation_lattice
+from limitcanon.linalg import hnf_rows, monomial_system_solvable, power_product, relation_lattice
 from limitcanon.model import DivisorOnModel, MultiDegree, component_genus, intersection
-from limitcanon.poset import neighborhood_radius
-from limitcanon.numdata import associated_data
-from limitcanon.strata import StratumKey, make_key, stratum_key
+from limitcanon.poset import closure_of, neighborhood_radius
+from limitcanon.numdata import NumericalData, associated_data, verify_conditions
+from limitcanon.strata import StratumKey, make_key, stratum_key, stratum_of
 from limitcanon.tripartitions import Tripartition, pair_compatible, tripartitions
 
 # ---------------------------------------------------------------------------
@@ -132,6 +140,22 @@ def direction_probes(config, s):
     return probes
 
 
+def neighborhood_sample_check(config, s, samples=200, seed=0, closure=None):
+    """Sample weight vectors near the witness; each must classify into the
+    predicted closure.  Report-based: returns the violations, never raises."""
+    mu, radius = neighborhood_radius(s)
+    allowed = closure_of(config, s) if closure is None else closure
+    rng = random.Random(seed)
+    violations = []
+    for _ in range(samples):
+        eps = [radius * Fraction(rng.randint(-999, 999), 1000) for _ in mu]
+        shifted = tuple(Fraction(m) + e for m, e in zip(mu, eps))
+        key = stratum_key(config, stratum_of(config, shifted))
+        if key not in allowed:
+            violations.append((shifted, key))
+    return {"samples": samples, "violations": violations, "ok": not violations}
+
+
 # ---------------------------------------------------------------------------
 # Grassmannians, Weierstrass degrees, models
 
@@ -157,6 +181,37 @@ def satisfies_orbit_quadrics(point, reference):
             if lhs != rhs:
                 return False
     return True
+
+
+@dataclass(frozen=True)
+class OnePSG:
+    """One-parameter subgroup r -> (scalars_i * r^exponents_i)."""
+
+    exponents: tuple
+    scalars: tuple
+
+    def __post_init__(self):
+        if len(self.exponents) != len(self.scalars):
+            raise ValueError("exponents and scalars must have equal length")
+        if any(s == 0 for s in self.scalars):
+            raise ValueError("scalars must be nonzero")
+
+
+def limit_pluecker(V, psg):
+    """Pluecker coordinates of the limit of psg(r) . V as r goes to 0: the
+    nonzero coordinates of minimal weight sum(exponents[i] for i in b), each
+    times the product of the scalars on b, normalized to first nonzero 1."""
+    pv = pluecker(V)
+    if len(psg.exponents) != V.ambient:
+        raise ValueError("one-parameter subgroup size must match the ambient")
+    weights = [sum(psg.exponents[i] for i in b) for b in pv.subsets()]
+    floor = min(w for w, c in zip(weights, pv.coords) if c != 0)
+    out = [
+        c * power_product(psg.scalars, _vec(b, V.ambient)) if c != 0 and w == floor else Fraction(0)
+        for b, w, c in zip(pv.subsets(), weights, pv.coords)
+    ]
+    scale = next(v for v in out if v != 0)
+    return PlueckerVector(V.ambient, V.dim, tuple(v / scale for v in out))
 
 
 def psg_for_tripartition(tri, n):
@@ -252,6 +307,27 @@ def _ratios(pv, width, offset):
     return chars, [c / c0 for _, c in live[1:]]
 
 
+def lattice_in_closure(W, V):
+    """Membership of W in the torus-orbit closure of V by the lattice test.
+
+    W's support must be a whole interval: every subset of its size between
+    the coordinates in all members and those in some.  Then the ratios
+    W_b / W_base over V_b / V_base must be the values of W's characters at
+    one torus point, which ``linalg.monomial_system_solvable`` decides.
+    """
+    pv, qw = pluecker(V), pluecker(W)
+    supp = qw.support()
+    members = [frozenset(b) for b in supp]
+    low, high = frozenset.intersection(*members), frozenset.union(*members)
+    spanned = {frozenset(b) for b in combinations(sorted(high), W.dim) if low <= frozenset(b)}
+    if set(members) != spanned:
+        return False
+    chars, ratios = _ratios(qw, W.ambient, 0)
+    ref = dict(zip(pv.subsets(), pv.coords))
+    values = [r / (ref[b] / ref[supp[0]]) for b, r in zip(supp[1:], ratios)]
+    return monomial_system_solvable(chars, values)
+
+
 def _pair_fingerprint(pv, qw, lam, tau, I, J):
     """Support pair plus the values of a canonical basis of the integer
     relations among both supports' characters modulo the characters that
@@ -319,6 +395,43 @@ def pairwise_multidegree(model, config, divisor):
 
 # ---------------------------------------------------------------------------
 # numerical data
+
+
+def scan_oracle(mu, upsilon):
+    """Brute-force numerical data: walk the breakpoints upward, test each one.
+
+    Intentionally naive: mu is cleared to integers m = t * mu, the scan
+    starts below every breakpoint that reaches upsilon, and the first
+    breakpoint c whose data (alpha_p = floor(c / m_p), I where m_p divides
+    c) passes ``verify_conditions`` is returned.
+    """
+    mu = tuple(Fraction(x) for x in mu)
+    if not mu or any(x <= 0 for x in mu):
+        raise ValueError("mu must be a nonempty vector of positive entries")
+    t = lcm(*(x.denominator for x in mu))
+    m = [int(x * t) for x in mu]
+
+    def jumps(c):
+        return sum(c // mp for mp in m)
+
+    lo, step = 0, 1
+    while jumps(lo) >= upsilon:
+        lo -= step
+        step *= 2
+    c = lo
+    for _ in range(10 ** 7):
+        c = min((c // mp + 1) * mp for mp in m)  # next breakpoint
+        total = jumps(c)
+        if total >= upsilon:  # below this the third condition already fails
+            alpha = tuple(c // mp for mp in m)
+            rho = tuple(Fraction(mp * (a + 1) - c, t) for mp, a in zip(m, alpha))
+            members = frozenset(p for p, mp in enumerate(m) if c % mp == 0)
+            candidate = NumericalData(alpha, rho, members, Fraction(c, t))
+            if verify_conditions(mu, upsilon, candidate):
+                return candidate
+        if total >= upsilon + len(m):
+            break
+    raise AssertionError("breakpoint scan exhausted without a solution")
 
 
 def galloping_breakpoint(m, upsilon):
@@ -478,6 +591,16 @@ def fraction_witness(config, alpha, I, beta, J):
         hi = min((level / w[p] for level, w, _ in sides if w[p]), default=None)
         mu.append(_between(lo, hi))
     return tuple(m / mu[-1] for m in mu)
+
+
+def region_satisfies(desc, mu):
+    """Whether mu meets every constraint of a ``strata.region`` description:
+    sum(coeffs * mu) = 0 for "eq" and > 0 for "gt", in Fractions."""
+    for c in desc.constraints:
+        value = sum(Fraction(k) * Fraction(m) for k, m in zip(c.coeffs, mu))
+        if not (value == 0 if c.relation == "eq" else value > 0):
+            return False
+    return True
 
 
 def fraction_enumeration(config, candidates):

@@ -29,12 +29,12 @@ from limitcanon.model import (
     multidegree_of_twisted_dualizing,
     twist_divisor_focus_X,
 )
-from limitcanon.numdata import associated_data, scan_oracle, verify_conditions
-from limitcanon.poset import build_poset, components, count_formulas, neighborhood_sample_check
+from limitcanon.numdata import associated_data, verify_conditions
+from limitcanon.poset import build_poset, components, count_formulas
 from limitcanon.strata import enumerate_strata
 from limitcanon.tripartitions import tripartitions
 from limitcanon.weier import weierstrass_degrees
-from oracles import base_change_terms
+from oracles import base_change_terms, neighborhood_sample_check, scan_oracle
 
 
 def _report(num, name, elapsed, limit=None):

@@ -207,6 +207,15 @@ def test_orbit_closure_of_a_point(tmp_path, capsys):
     assert obj["brute_force"]["all_predicted_reached"]
 
 
+@pytest.mark.parametrize("flags", [[], ["--brute-force"]], ids=["plain", "brute-force"])
+def test_orbit_closure_rejects_a_negative_ambient(tmp_path, capsys, flags):
+    path = tmp_path / "point.json"
+    path.write_text(json.dumps({"basis": [], "ambient": -2}))
+    code, out, err = run_cli(capsys, ["orbit-closure", "--input", str(path), *flags])
+    assert code == 3 and out == ""
+    assert err == "error: the ambient size must be nonnegative, got -2\n"
+
+
 def test_zero_denominator_in_mu(capsys):
     code, out, err = run_cli(capsys, ["stratum", "--gx", "2", "--gy", "2", "--mu", "1/0,1"])
     assert code == 3 and out == ""

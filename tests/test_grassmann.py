@@ -5,13 +5,11 @@ from fractions import Fraction
 import pytest
 
 from limitcanon.grassmann import (
-    OnePSG,
     Subspace,
     brute_force_closure_fingerprints,
     closure_orbit_set,
     in_closure,
     in_pair_closure,
-    limit_pluecker,
     orbit_fingerprint,
     pair_brute_force_fingerprints,
     pair_closure_orbit_set,
@@ -20,9 +18,11 @@ from limitcanon.grassmann import (
 )
 from limitcanon.tripartitions import Tripartition, tripartitions
 from oracles import (
+    OnePSG,
     degenerate_closure_orbit_set,
     degenerate_pair_closure_orbit_set,
     fraction_minors,
+    limit_pluecker,
     psg_for_tripartition,
     satisfies_orbit_quadrics,
 )

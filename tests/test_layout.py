@@ -6,7 +6,9 @@ A top-level function or class in ``src/limitcanon`` must be exported by
 another top-level name that is itself kept.  Reachability is transitive,
 so a helper whose only caller is a test-only function fails as well.  A
 module's own ``__all__`` is not a root: a helper could list itself there.
-Independent checks that only the tests use belong in ``tests/oracles.py``.
+Independent checks that only the tests use belong in ``tests/oracles.py``,
+and they, like the Fourier-Motzkin solver in ``tests/fm.py``, import only
+public names of the library, so they never share its private helpers.
 """
 
 import ast
@@ -64,3 +66,11 @@ def unused_top_level_names():
 
 def test_every_library_name_has_a_production_user():
     assert unused_top_level_names() == []
+
+
+def test_oracles_import_only_public_library_names():
+    # the oracles stay independent of the library's private helpers
+    tests = Path(__file__).resolve().parent
+    for name in ("oracles.py", "fm.py"):
+        private = sorted(n for n in _library_imports(tests / name) if n.startswith("_"))
+        assert private == [], (name, private)

@@ -4,17 +4,16 @@ import random
 from fractions import Fraction
 
 from limitcanon.linalg import (
-    det,
+    _bareiss,
     hnf_rows,
     integer_kernel,
-    maximal_minors,
     monomial_system_solvable,
     nullspace,
     power_product,
     relation_lattice,
     rref,
 )
-from oracles import fraction_det, fraction_minors, fraction_rref
+from oracles import fraction_det, fraction_rref
 
 
 def test_rref_and_nullspace():
@@ -44,25 +43,27 @@ def test_rref_matches_fraction_elimination():
         assert rref(rows, ncols) == fraction_rref(rows, ncols)
 
 
-def test_det_and_minors():
-    assert det([[1, 2], [3, 4]]) == -2
-    assert det([[1, 2], [2, 4]]) == 0
-    minors = dict(maximal_minors([[1, 0, 2], [0, 1, 3]], 3))
-    assert minors[(0, 1)] == 1 and minors[(0, 2)] == 3 and minors[(1, 2)] == -2
-
-
 def test_integer_minors_match_fraction_elimination():
-    # non-integral and negative entries; a repeated row gives zero minors
+    # integer matrices up to 5 x 5; zero pivots force row swaps, and
+    # repeated, scaled and zero rows give zero determinants
+    assert _bareiss([]) == 1
+    assert _bareiss([[0, 1], [1, 0]]) == -1
+    assert _bareiss([[0, 0, 1], [0, 1, 0], [1, 0, 0]]) == -1
+    assert _bareiss([[0, 2, 1], [0, 3, 4], [5, 6, 7]]) == 25
     rng = random.Random(31)
-    for _ in range(80):
-        h, n = rng.randint(1, 4), rng.randint(1, 6)
-        rows = [[Fraction(rng.randint(-9, 9), rng.randint(1, 12)) for _ in range(n)] for _ in range(h)]
-        if h > 1 and rng.random() < 0.3:
-            rows[-1] = [2 * x for x in rows[0]]
-        assert [v for _, v in maximal_minors(rows, n)] == fraction_minors(rows, n)
-        if n >= h:
-            square = [row[:h] for row in rows]
-            assert det(square) == fraction_det(square)
+    swaps = zeros = 0
+    for _ in range(400):
+        n = rng.randint(1, 5)
+        mat = [[rng.randint(-9, 9) if rng.random() < 0.7 else 0 for _ in range(n)] for _ in range(n)]
+        if n > 1 and rng.random() < 0.3:
+            mat[-1] = list(mat[0]) if rng.random() < 0.5 else [-3 * x for x in mat[0]]
+        if n > 1 and rng.random() < 0.3:
+            mat[0][0] = 0
+        swaps += mat[0][0] == 0
+        want = fraction_det(mat)
+        zeros += want == 0
+        assert _bareiss([list(row) for row in mat]) == want, mat
+    assert swaps > 50 and zeros > 50
 
 
 def test_integer_kernel_is_saturated():

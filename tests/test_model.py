@@ -215,7 +215,3 @@ def test_aspect_dimensions():
     dims2 = aspect_dimensions(cfg2, s2)
     assert dims2["h0_X"] == 3 == cfg2.genus
     assert dims2["codim_X"] == 0
-
-    blind = CurveConfig(g_x=1, g_y=1, delta=2, general_position=False)
-    with pytest.raises(ValueError):
-        aspect_dimensions(blind, s2)

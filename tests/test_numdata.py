@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 
 from conftest import rand_mu
-from limitcanon.numdata import NumericalData, associated_data, scan_oracle, verify_conditions
+from limitcanon.numdata import NumericalData, associated_data, verify_conditions
+from oracles import scan_oracle
 
 
 def all_solutions_in_window(mu, upsilon):

@@ -16,12 +16,11 @@ from limitcanon.poset import (
     count_formulas,
     n_delta,
     neighborhood_radius,
-    neighborhood_sample_check,
     to_dot,
 )
 from limitcanon.strata import StratumKey, enumerate_strata, make_key, stratum_key, stratum_of
 from limitcanon.tripartitions import Tripartition, pair_compatible, tripartitions
-from oracles import admissible, coupling_case, direction_probes, drop_on
+from oracles import admissible, coupling_case, direction_probes, drop_on, neighborhood_sample_check
 
 
 def _poset(g_x, g_y, delta):

@@ -1,6 +1,6 @@
 """Property tests of classification, witnesses, the level check, the
 breakpoint walk, the integer condition check, the model's node pass,
-Weierstrass totals and closures (hypothesis).
+Weierstrass totals, closures and torus-orbit membership (hypothesis).
 
 The profile registered in ``conftest.py`` keeps them deterministic.
 """
@@ -14,6 +14,14 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given, strategies as st
 
 from conftest import level_verdicts
+from limitcanon.grassmann import (
+    Subspace,
+    closure_orbit_set,
+    in_closure,
+    orbit_fingerprint,
+    pluecker,
+    tripartition_degenerate,
+)
 from limitcanon.model import (
     X,
     CurveConfig,
@@ -26,15 +34,18 @@ from limitcanon.model import (
 )
 from dataclasses import fields, replace
 
-from limitcanon.numdata import _breakpoint, associated_data, scan_oracle, verify_conditions
+from limitcanon.numdata import _breakpoint, associated_data, verify_conditions
 from limitcanon.poset import build_poset
 from limitcanon.strata import _search, _witness, enumerate_strata, stratum_key, stratum_of
+from limitcanon.tripartitions import tripartitions
 from limitcanon.weier import weierstrass_degrees
 from oracles import (
     fraction_stratum_of,
     fraction_verify_conditions,
     galloping_breakpoint,
+    lattice_in_closure,
     pairwise_multidegree,
+    scan_oracle,
 )
 
 positive = st.fractions(min_value=Fraction(1, 64), max_value=64, max_denominator=64)
@@ -236,3 +247,61 @@ def test_closures_are_reflexive_and_transitive(cfg):
         assert a in poset.closure[a]
         for b in poset.closure[a]:
             assert poset.closure[b] <= poset.closure[a]
+
+
+def _subspace(rows, n):
+    try:
+        return Subspace(rows, ambient=n)
+    except ValueError:  # dependent rows
+        return None
+
+
+def _matrices(n, h):
+    return st.lists(st.lists(st.integers(-6, 6), min_size=n, max_size=n), min_size=h, max_size=h)
+
+
+@st.composite
+def general_subspaces(draw, n, h):
+    """A subspace of k^n of dimension h with every Pluecker coordinate nonzero."""
+    for _ in range(5):
+        V = _subspace(draw(_matrices(n, h)), n)
+        if V is not None and all(pluecker(V).coords):
+            return V
+    assume(False)
+
+
+# every shape with ambient <= 6 and dimension <= 4, points included; those
+# with 2 <= h <= n - 2, where the torus does not act with a dense orbit on
+# each interval support, are drawn more often
+ORBIT_SHAPES = [(n, h) for n in range(1, 7) for h in range(min(n, 4) + 1)]
+RICH_SHAPES = [(n, h) for n, h in ORBIT_SHAPES if 2 <= h <= n - 2]
+
+
+@st.composite
+def orbit_queries(draw):
+    """(W, V, member): V general; W a torus-scaled degeneration of V (member),
+    of another general subspace of the same shape, or an arbitrary subspace."""
+    n, h = draw(st.sampled_from(ORBIT_SHAPES) | st.sampled_from(RICH_SHAPES))
+    V = draw(general_subspaces(n, h))
+    kind = draw(st.sampled_from(("own", "other", "any")))
+    if kind == "any":
+        W = _subspace(draw(_matrices(n, h)), n)
+        assume(W is not None)
+        return W, V, False
+    source = V if kind == "own" else draw(general_subspaces(n, h))
+    qualifying = [t for t in tripartitions(range(n)) if len(t.first) < h <= n - len(t.last)]
+    if qualifying:  # a point (h = 0) is its own degeneration
+        source = tripartition_degenerate(source, draw(st.sampled_from(qualifying)))
+    scalars = draw(st.lists(st.integers(-9, 9).filter(bool), min_size=n, max_size=n))
+    W = Subspace([[c * x for c, x in zip(scalars, row)] for row in source.rows], ambient=n)
+    return W, V, kind == "own"
+
+
+@given(orbit_queries())
+def test_in_closure_matches_the_lattice_test_and_the_closure_set(query):
+    W, V, member = query
+    verdict = in_closure(W, V)
+    assert verdict == lattice_in_closure(W, V)
+    assert verdict == (orbit_fingerprint(pluecker(W)) in closure_orbit_set(V))
+    if member:
+        assert verdict
