@@ -3,7 +3,8 @@
 Output is deterministic: fixed orderings everywhere, rationals rendered as
 "a/b" in lowest terms with positive denominator, never floats.  Exit codes:
 2 for flag errors (argparse, a negative --cap, and a negative
-orbit-closure --bound) and for an --input or --output file that cannot be
+orbit-closure --bound or one whose brute-force walk would exceed 10^6
+exponent vectors) and for an --input or --output file that cannot be
 opened, 3 for invalid or infeasible mathematical input, 4 when an
 enumeration cap is exceeded, 5 when an internal correctness check fails
 (a stratum witness that does not carry its candidate, a Grassmannian
@@ -14,6 +15,10 @@ line on stderr.
 candidates (alpha, I, beta, J) the stratum search finds, before they are
 merged into strata; the run stops with exit 4 as soon as it finds more
 than N, so the cap bounds the work.
+
+``orbit-closure --brute-force --bound N`` on a subspace of k^n walks the
+(2N+1)^n exponent vectors with entries in [-N, N]; a walk of more than
+10^6 vectors is refused with exit 2 before it starts.
 """
 
 from __future__ import annotations
@@ -34,6 +39,8 @@ from .model import (
 )
 from .numdata import associated_data
 from .strata import CapExceeded
+
+_MAX_WALK = 10 ** 6  # exponent vectors one orbit-closure --brute-force may walk
 
 
 def qstr(x) -> str:
@@ -393,7 +400,15 @@ def _cmd_orbit_closure(args) -> int:
             }
     else:
         V = _subspace_from_obj(payload, "the input")
-        predicted = grassmann.closure_orbit_set(V)
+        predicted = grassmann.closure_orbit_set(V)  # refuses an ambient past desk scale
+        walk = (2 * args.bound + 1) ** V.ambient
+        if args.brute_force and walk > _MAX_WALK:
+            print(
+                f"error: --bound {args.bound} in k^{V.ambient} walks {walk} exponent vectors, "
+                f"more than {_MAX_WALK}",
+                file=sys.stderr,
+            )
+            return 2
         obj = {
             "mode": "single",
             "ambient": V.ambient,

@@ -10,16 +10,21 @@ describe the admissible degenerations of the focus-X data (the middle
 becomes the new equality locus and the correction numbers drop by one on
 the last part), the mirror condition governs the focus-Y side, and when
 both genera are positive the pair of tripartitions must satisfy the two
-implications of ``tripartitions.pair_compatible``.  Those implications read
-the two tripartitions only through their traces on the shared nodes I & J,
-so ``closure_of`` works one side at a time: it groups each side's
-degenerations by that trace and takes the closure as a union of products
-of per-side key sets, one product per compatible pair of traces.  The
-pairwise enumeration, which keys every compatible pair of tripartitions
-and builds a perturbation reaching each, lives with the tests as their
-independent oracle (``tests/oracles.py``), beside a second one that samples
-weight vectors in the neighborhood of a witness that ``neighborhood_radius``
-bounds.
+implications of ``tripartitions.pair_compatible``, the public definition
+of the coupling.  Those implications read the two tripartitions only
+through their traces on the shared nodes S = I & J, so ``closure_of``
+works one side at a time: it groups each side's degenerations by the
+trace (first & S, last & S), held as a pair of integer bitmasks, and takes
+the closure as a union of products of per-side key sets, one product per
+coupled pair of traces.  Two traces (i1, i3) and (j1, j3) couple in one
+of three shapes: they are equal; S - i3 lies within j1; or S - i1 lies
+within j3.  Each shape is one integer test, and no tripartition is built
+per trace.  The test oracle for the shapes is ``coupling_case`` in
+``tests/oracles.py``; the pairwise enumeration there, which keys every
+compatible pair of tripartitions and builds a perturbation reaching each,
+is the independent check of ``closure_of``, beside a second one that
+samples weight vectors in the neighborhood of a witness that
+``neighborhood_radius`` bounds.
 
 Irreducible components are counted as the maximal strata of the closure
 poset; strata are pairwise disjoint and each is irreducible, so maximal
@@ -35,7 +40,7 @@ from math import comb, gcd
 
 from .model import CurveConfig
 from .strata import StratumData, StratumKey, enumerate_strata, stratum_dim, stratum_key
-from .tripartitions import Tripartition, pair_compatible
+from .tripartitions import Tripartition
 
 __all__ = [
     "ClosurePoset",
@@ -49,10 +54,6 @@ __all__ = [
 ]
 
 
-def _drop_on(weights, part):
-    return tuple(w - 1 if p in part else w for p, w in enumerate(weights))
-
-
 def _side_moves(members, weights, genus_target, shared):
     """One focus's part of every admissible degeneration, grouped by trace.
 
@@ -60,43 +61,61 @@ def _side_moves(members, weights, genus_target, shared):
     window of the module docstring by part size, and writes the side's
     share of the key once per (last, middle): the weights minus one on
     ``last`` and the locus ``middle`` (``None`` when the new total is down
-    to the other genus, as in ``make_key``).  Returns one pair per trace
-    of a tripartition on ``shared``: the trace, and the set of side keys
-    of the tripartitions that have it.
+    to the other genus, as in ``make_key``).  Returns a dict from the trace
+    ``(first & shared, last & shared)``, as bitmasks over the nodes, to the
+    set of side keys of the tripartitions that have it.
     """
     total = sum(weights)
     groups = {}
     for n_last in range(min(total - genus_target, len(members)) + 1):
         saturated = total - n_last <= genus_target
-        for last in map(frozenset, combinations(members, n_last)):
-            dropped = _drop_on(weights, last)
-            rest = members - last
+        for last in combinations(members, n_last):
+            dropped = list(weights)
+            for p in last:
+                dropped[p] -= 1
+            dropped = tuple(dropped)
+            last_trace = sum(1 << p for p in last) & shared
+            rest = members.difference(last)
             for n_first in range(genus_target + len(members) - total):
-                for first in map(frozenset, combinations(rest, n_first)):
-                    side = (dropped, None if saturated else rest - first)
-                    groups.setdefault((first & shared, last & shared), set()).add(side)
-    return [(Tripartition(f, shared - f - l, l), keys) for (f, l), keys in groups.items()]
+                for first in combinations(rest, n_first):
+                    side = (dropped, None if saturated else rest.difference(first))
+                    trace = (sum(1 << p for p in first) & shared, last_trace)
+                    groups.setdefault(trace, set()).add(side)
+    return groups
+
+
+def _coupled_groups(shared, x_moves, y_moves):
+    """Pairs (x_keys, y_keys) of side groups whose traces on the bitmask
+    ``shared`` couple: the traces (i1, i3) and (j1, j3) are equal, shared -
+    i3 lies within j1, or shared - i1 lies within j3."""
+    for (i1, i3), x_keys in x_moves:
+        for (j1, j3), y_keys in y_moves:
+            if (i1 == j1 and i3 == j3) or not shared & ~(i3 | j1) or not shared & ~(i1 | j3):
+                yield x_keys, y_keys
 
 
 def closure_of(config: CurveConfig, s: StratumData) -> frozenset:
     """Keys of every stratum contained in the closure of s (including s).
 
     The closure is a union of products of per-side key sets: each focus's
-    degenerations are grouped by their trace on the shared nodes I & J,
-    and a pair of groups contributes all of its key pairs when the traces
-    are compatible.  ``pair_compatible`` reads the two tripartitions only
-    through their traces on I & J, so testing the traces (with I = J =
-    I & J) decides every pair in the two groups at once.  With a zero
-    genus there is no compatibility condition and one group per side.
+    degenerations are grouped by the bitmask trace (first & S, last & S) of
+    their tripartition on the shared nodes S = I & J, and a pair of groups
+    contributes all of its key pairs when the traces couple.  A trace pair
+    (i1, i3), (j1, j3) couples in one of three shapes: the traces are
+    equal; S - i3 lies within j1; or S - i1 lies within j3.  These are the
+    three patterns of ``coupling_case`` in the test oracles, and together
+    they are exactly the two implications of ``pair_compatible`` on the
+    traces, so one integer test decides every pair in the two groups.  With
+    a zero genus there is no coupling and S is empty: one group per side.
     """
-    shared = s.I & s.J if config.g_x > 0 and config.g_y > 0 else frozenset()
-    x_moves = _side_moves(s.I, s.alpha, config.g_y, shared)
-    y_moves = _side_moves(s.J, s.beta, config.g_x, shared)
+    shared = 0
+    if config.g_x > 0 and config.g_y > 0:
+        shared = sum(1 << p for p in s.I & s.J)
+    x_moves = _side_moves(s.I, s.alpha, config.g_y, shared).items()
+    y_moves = _side_moves(s.J, s.beta, config.g_x, shared).items()
     out = set()
-    for ti, x_keys in x_moves:
-        for tj, y_keys in y_moves:
-            if pair_compatible(ti, tj, shared, shared):
-                out.update(StratumKey(a, b, i, j) for a, i in x_keys for b, j in y_keys)
+    for x_keys, y_keys in _coupled_groups(shared, x_moves, y_moves):
+        out.update(StratumKey(a, b, i, j) for a, i in x_keys for b, j in y_keys)
     return frozenset(out)
 
 

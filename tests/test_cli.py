@@ -301,6 +301,20 @@ GOLDEN = {
         "a1dd1305c0042721c4e53060eea0897f3c042296c27a437cc5d50f1b99f9fd50",
         "306c839bf18d64976ef03ad015406d79f32c9af9fb922d6d6a9555311e27cc84",
     ),
+    (4, 4, 4): (
+        "50c15052ffbfe510d9bd728b57cdb3cf0ac1fd3afe54b4cee208b7a879dc0475",
+        "a9c0431c667da5f1edf12bbb73b4c5d4496a946d95c1631c07772ad42f4c6b9b",
+        "610cde7e566530f2f3431aa8c2b461e72b6a0d8bbc4210ee3bdf2222f4b1e5ff",
+        "e79f4bf14430c65bcc9516231a1788e5fc22c3e926ffc0e64919856e0842e57d",
+        "a7865eb1c9ef8abc2c51412c8537ddbc517e6f7807b5f1b2f8ceb4c3a199387e",
+    ),
+    (3, 5, 4): (
+        "7ceb337e1410ee018a182c63551143ae8ad663353cb4ee7a4a726922905467d2",
+        "23aceb896a47d5d3905dd6023edbf6a51527a99b911f663a7322ec32def1348d",
+        "f170aef235b2a3d5013106660b99de20c0fbf09ba2e9010c09d36a7c173eaa63",
+        "683743505ce6f466413d1110f09abdb459b7661d7c379e484719b284f5af811b",
+        "c13a260611c48f6d95623cd50393c1a96a52c73a9d2f8aa1566721619b1c51bd",
+    ),
 }
 
 
@@ -495,6 +509,34 @@ def test_negative_bound_is_flag_error(tmp_path, capsys):
     code, out, err = run_cli(capsys, argv)
     assert code == 2 and out == ""
     assert err.startswith("error: --bound ") and err.count("\n") == 1
+
+
+# a line in k^6: --bound 3 walks 7^6 exponent vectors, --bound 5 would walk
+# 11^6, past the 10^6 limit; the digest is that of the bound-3 output
+LINE_K6 = {"basis": [["1", "2", "3", "4", "5", "6"]]}
+LINE_K6_BOUND3 = "f5ceff0fe48562775c13439a582ab8ddbbec674c5625bd40330ef8565c3aac76"
+
+
+def test_oversized_bound_is_flag_error(tmp_path, capsys):
+    from time import perf_counter
+
+    path = tmp_path / "line.json"
+    path.write_text(json.dumps(LINE_K6))
+    argv = ["orbit-closure", "--input", str(path), "--brute-force", "--bound", "5"]
+    t0 = perf_counter()
+    code, out, err = run_cli(capsys, argv)
+    assert perf_counter() - t0 < 1.0
+    assert code == 2 and out == ""
+    assert err.startswith("error: --bound ") and err.count("\n") == 1
+
+
+def test_bound_within_walk_limit_is_walked(tmp_path, capsys):
+    path = tmp_path / "line.json"
+    path.write_text(json.dumps(LINE_K6))
+    argv = ["orbit-closure", "--input", str(path), "--brute-force", "--bound", "3"]
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == LINE_K6_BOUND3
 
 
 def test_text_formats(capsys):

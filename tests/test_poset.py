@@ -10,6 +10,7 @@ import pytest
 
 from limitcanon.model import CurveConfig
 from limitcanon.poset import (
+    _coupled_groups,
     build_poset,
     closure_of,
     components,
@@ -270,6 +271,29 @@ def test_pair_compatible_reads_only_traces_on_shared_nodes():
             ), (ti, tj)
 
 
+def _mask(part):
+    return sum(1 << p for p in part)
+
+
+def test_coupling_masks_match_pair_compatible():
+    # closure_of decides a pair of trace groups by one integer test on the
+    # bitmasks (first & S, last & S); play it on every pair of tripartitions
+    # of S against the set implications and the three coupling patterns
+    pairs = 0
+    for n in range(6):
+        shared = frozenset(range(n))
+        tris = list(tripartitions(shared))
+        traces = [(_mask(t.first), _mask(t.last)) for t in tris]
+        for ti, x_trace in zip(tris, traces):
+            for tj, y_trace in zip(tris, traces):
+                groups = _coupled_groups(_mask(shared), [(x_trace, "x")], [(y_trace, "y")])
+                coupled = list(groups) == [("x", "y")]
+                assert coupled == pair_compatible(ti, tj, shared, shared), (ti, tj)
+                assert coupled == (coupling_case(ti, tj, shared, shared) is not None), (ti, tj)
+                pairs += 1
+    assert pairs == 66430
+
+
 def test_poset_cpu_guard():
     # one-sided closures are products of side-key sets; keying every
     # tripartition pair took about 1 s here
@@ -278,3 +302,14 @@ def test_poset_cpu_guard():
     start = time.process_time()
     build_poset(cfg, strata=found)
     assert time.process_time() - start < 0.3
+
+
+def test_poset_cpu_guard_delta5():
+    # both genera positive: the trace pairs are tested on bitmasks; building
+    # a Tripartition per trace and testing it with pair_compatible took
+    # about 0.45 s here
+    cfg = CurveConfig(g_x=3, g_y=4, delta=5)
+    found = enumerate_strata(cfg)
+    start = time.process_time()
+    build_poset(cfg, strata=found)
+    assert time.process_time() - start < 0.35
