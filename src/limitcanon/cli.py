@@ -27,6 +27,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from math import gcd
 
 from . import fan, grassmann, poset as poset_mod, strata, weier
 from .model import (
@@ -46,6 +47,12 @@ _MAX_WALK = 10 ** 6  # exponent vectors one orbit-closure --brute-force may walk
 def qstr(x) -> str:
     f = x if type(x) is Fraction else Fraction(x)
     return f"{f.numerator}/{f.denominator}"
+
+
+def _qstr_over(n: int, t: int) -> str:
+    """``qstr`` of n / t for integers n >= 0 and t > 0, reduced by one gcd."""
+    g = gcd(n, t)
+    return f"{n // g}/{t // g}"
 
 
 def parse_q(text: str) -> Fraction:
@@ -108,15 +115,18 @@ def _numdata_obj(labels, data):
 
 
 def stratum_obj(config: CurveConfig, s, include_dims: bool = True):
+    """The JSON object of a stratum; its rationals are formatted from the
+    integers of the StratumData (the witness m / t and the levels over t)."""
+    t = s.t
     obj = {
         "labels": list(config.labels),
-        "mu": [qstr(m) for m in s.witness_mu],
+        "mu": [_qstr_over(mp, t) for mp in s.m],
         "alpha": list(s.alpha),
         "I": [config.labels[p] for p in sorted(s.I)],
         "beta": list(s.beta),
         "J": [config.labels[p] for p in sorted(s.J)],
-        "gamma": qstr(s.gamma),
-        "epsilon": qstr(s.epsilon),
+        "gamma": _qstr_over(s.c_x, t),
+        "epsilon": _qstr_over(s.c_y, t),
         "alpha_tilde": s.alpha_tilde,
         "beta_tilde": s.beta_tilde,
     }
@@ -234,7 +244,7 @@ def _cmd_region(args) -> int:
             {"coeffs": list(c.coeffs), "relation": "= 0" if c.relation == "eq" else "> 0"}
             for c in desc.constraints
         ],
-        "witness": [qstr(m) for m in s.witness_mu],
+        "witness": [_qstr_over(mp, s.t) for mp in s.m],
     }
     _emit_json(args, obj)
     return 0

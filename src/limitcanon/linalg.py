@@ -25,7 +25,9 @@ def rref(rows, ncols=None):
     replaced by pivot * row - entry * pivot row, then divided by its
     content), so every working row is a nonzero multiple of the row that
     elimination over the rationals holds; the reduced rows are divided by
-    their pivots only when they are written out.
+    their pivots only when they are written out.  The column walk stops
+    once every row has its pivot, so an empty list of rows costs nothing
+    whatever ``ncols`` is.
     """
     mat = [_cleared(row) for row in rows]
     if ncols is None:
@@ -33,6 +35,8 @@ def rref(rows, ncols=None):
     pivots = []
     r = 0
     for c in range(ncols):
+        if r == len(mat):
+            break
         pivot = next((i for i in range(r, len(mat)) if mat[i][c]), None)
         if pivot is None:
             continue
@@ -47,8 +51,6 @@ def rref(rows, ncols=None):
                 mat[i] = [a // g for a in row] if g > 1 else row
         pivots.append(c)
         r += 1
-        if r == len(mat):
-            break
     reduced = [tuple(Fraction(a, row[c]) for a in row) for row, c in zip(mat, pivots)]
     return reduced, pivots
 

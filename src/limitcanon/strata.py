@@ -20,7 +20,10 @@ has a solution.  Once the ratio r = d/c of the two levels is fixed, the
 system splits into one condition per node, so one depth-first search over
 the nodes (``_search``) finds every realizable candidate with a feasible
 r, an integer pair (rn, rd): the pin of its r-interval, else the midpoint
-(lo + 1 when unbounded, so 1 when a genus is zero).
+(lo + 1 when unbounded, so 1 when a genus is zero).  At each node the
+search lists once per side the options that can still reach that side's
+window, then pairs every focus-X option of its list with every focus-Y
+option of the other.
 
 Scaling mu by t > 0 keeps the data and scales the levels, so a witness
 lives on one integer scale (``_witness``): with D = 2 lcm(1 .. max(g_X,
@@ -57,6 +60,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from operator import index
+from typing import NamedTuple
 
 from .model import CurveConfig
 from .linalg import _integer_scaled
@@ -69,9 +73,13 @@ class CapExceeded(RuntimeError):
     """Raised when an enumeration would exceed the configured candidate cap."""
 
 
-@dataclass(frozen=True)
-class StratumKey:
-    """Identity of a stratum: correction numbers plus effective equality loci."""
+class StratumKey(NamedTuple):
+    """Identity of a stratum: correction numbers plus effective equality loci.
+
+    A named 4-tuple: it hashes and compares as the plain tuple
+    (alpha, beta, I, J).  None and frozensets have no total order, so
+    outputs order keys by ``sort_token``.
+    """
 
     alpha: tuple[int, ...]
     beta: tuple[int, ...]
@@ -307,10 +315,12 @@ def _search(config: CurveConfig):
     """Depth-first search over the nodes for every realizable candidate.
 
     Yields (alpha, I, beta, J, r), r an integer pair (``_leaf_ratio``).
-    At node p it chooses (alpha_p, p in I), then (beta_p, p in J), skipping
-    a weight that can no longer reach its side's window (``_reachable``);
-    with both genera positive it narrows the r-interval (``_narrow``) and
-    prunes once it is empty; with a zero genus r stays 1.
+    At node p each side lists once its options (w_p, p in the locus) that
+    can still reach its window (``_reachable``), with the locus each one
+    leads to; the search then takes every focus-X option of that list and,
+    inside it, every focus-Y option of the other.  With both genera
+    positive it narrows the r-interval (``_narrow``) and prunes once it is
+    empty; with a zero genus r stays 1.
     """
     delta, joint = config.delta, config.g_x > 0 and config.g_y > 0
 
@@ -321,20 +331,24 @@ def _search(config: CurveConfig):
 
     options_i, options_j = choices(config.g_y), choices(config.g_x)
 
+    def window(options, genus, total, locus, p, left):
+        """The options (w, on) of node p that keep the side's window reachable,
+        each with the locus it leads to."""
+        return [
+            (w, on, locus + (p,) if on else locus)
+            for w, on in options
+            if _reachable(genus, total + w, len(locus) + on, left)
+        ]
+
     def descend(alpha, I, sum_a, beta, J, sum_b, state):
         p = len(alpha)
         if p == delta:
             yield alpha, frozenset(I), beta, frozenset(J), _leaf_ratio(state)
             return
         left = delta - 1 - p
-        for a, in_i in options_i:
-            locus_i = I + (p,) if in_i else I
-            if not _reachable(config.g_y, sum_a + a, len(locus_i), left):
-                continue
-            for b, in_j in options_j:
-                locus_j = J + (p,) if in_j else J
-                if not _reachable(config.g_x, sum_b + b, len(locus_j), left):
-                    continue
+        ys = window(options_j, config.g_x, sum_b, J, p, left)
+        for a, in_i, locus_i in window(options_i, config.g_y, sum_a, I, p, left):
+            for b, in_j, locus_j in ys:
                 narrowed = _narrow(state, a, in_i, b, in_j) if joint else state
                 if narrowed is not None:
                     yield from descend(

@@ -22,6 +22,11 @@ else:
     settings.load_profile("limitcanon")
 
 
+# the perfbench sweep grid: delta 2 and 3 at genera 0-5, and one-sided delta 4
+SWEEP_GRID = [(g_x, g_y, d) for d in (2, 3) for g_x in range(6) for g_y in range(6) if g_x or g_y]
+SWEEP_GRID += [(0, g, 4) for g in range(1, 6)] + [(g, 0, 4) for g in range(1, 6)]
+
+
 def rand_mu(rng: random.Random, delta: int, top: int = 50, integral: bool = False):
     if integral:
         return tuple(Fraction(rng.randint(1, top)) for _ in range(delta))

@@ -26,8 +26,9 @@ stored as a Fraction, the classification that fills it from two
 ``associated_data`` solutions, stratum witnesses built in Fractions, and an
 enumeration that keeps the smallest Fraction witness per key check the
 integer witnesses and the lazily read descriptor of ``strata``;
-``region_satisfies`` evaluates the constraints of a ``strata.region``
-description in Fractions.
+``brute_side`` lists every well-formed candidate side for the
+Fourier-Motzkin check of the node search; ``region_satisfies`` evaluates
+the constraints of a ``strata.region`` description in Fractions.
 
 Only public names of ``limitcanon`` are imported, so these checks do not
 share the library's private helpers.
@@ -36,7 +37,7 @@ share the library's private helpers.
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import lcm
 
 from limitcanon.grassmann import (
@@ -591,6 +592,19 @@ def fraction_witness(config, alpha, I, beta, J):
         hi = min((level / w[p] for level, w, _ in sides if w[p]), default=None)
         mu.append(_between(lo, hi))
     return tuple(m / mu[-1] for m in mu)
+
+
+def brute_side(genus, delta):
+    """Every well-formed (weights, locus) of one focus, by brute force."""
+    if genus == 0:
+        return [((0,) * delta, frozenset(range(delta)))]
+    out = []
+    for weights in product(range(genus + 1), repeat=delta):
+        support = [p for p in range(delta) if weights[p]]
+        for size in range(1, len(support) + 1):
+            if genus <= sum(weights) < genus + size:
+                out.extend((weights, frozenset(locus)) for locus in combinations(support, size))
+    return out
 
 
 def region_satisfies(desc, mu):

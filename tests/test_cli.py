@@ -12,7 +12,8 @@ import pytest
 
 import limitcanon
 from limitcanon import grassmann, strata
-from limitcanon.cli import main, parse_q, qstr, stratum_key_from_obj
+from conftest import SWEEP_GRID
+from limitcanon.cli import main, parse_q, qstr, stratum_key_from_obj, stratum_obj
 from limitcanon.model import CurveConfig
 from limitcanon.strata import enumerate_strata, stratum_key
 
@@ -29,6 +30,20 @@ def test_rational_round_trip():
     assert qstr(Fraction(-6, 4)) == "-3/2"
     assert parse_q("7") == 7
     assert parse_q("-3/2") == Fraction(-3, 2)
+
+
+def test_stratum_obj_formats_the_rationals_it_reads():
+    # mu, gamma and epsilon, formatted from the integers, are qstr of the
+    # Fractions; a zero genus puts its level at 0/1
+    zeros = set()
+    for triple in SWEEP_GRID + [(0, 0, 2), (0, 0, 3)]:
+        cfg = CurveConfig(*triple)
+        for s in enumerate_strata(cfg):
+            obj = stratum_obj(cfg, s)
+            assert obj["mu"] == [qstr(m) for m in s.witness_mu], triple
+            assert (obj["gamma"], obj["epsilon"]) == (qstr(s.gamma), qstr(s.epsilon)), triple
+            zeros.update(name for name in ("gamma", "epsilon") if obj[name] == "0/1")
+    assert zeros == {"gamma", "epsilon"}
 
 
 def test_numdata_command(capsys):
@@ -214,6 +229,18 @@ def test_orbit_closure_rejects_a_negative_ambient(tmp_path, capsys, flags):
     code, out, err = run_cli(capsys, ["orbit-closure", "--input", str(path), *flags])
     assert code == 3 and out == ""
     assert err == "error: the ambient size must be nonnegative, got -2\n"
+
+
+@pytest.mark.parametrize("flags", [[], ["--brute-force"]], ids=["plain", "brute-force"])
+def test_orbit_closure_rejects_a_huge_ambient_at_once(tmp_path, capsys, flags):
+    from time import perf_counter
+
+    path = tmp_path / "point.json"
+    path.write_text(json.dumps({"basis": [], "ambient": 10 ** 9}))
+    t0 = perf_counter()
+    code, out, err = run_cli(capsys, ["orbit-closure", "--input", str(path), *flags])
+    assert code == 3 and out == "" and perf_counter() - t0 < 1.0
+    assert err.startswith("error: desk-scale guard: ambient 1000000000 > 6")
 
 
 def test_zero_denominator_in_mu(capsys):

@@ -1,19 +1,22 @@
 """Property tests of classification, witnesses, the level check, the
-breakpoint walk, the integer condition check, the model's node pass,
-Weierstrass totals, closures and torus-orbit membership (hypothesis).
+enumerated keys against Fourier-Motzkin, the breakpoint walk, the integer
+condition check, the model's node pass, Weierstrass totals, closures and
+torus-orbit membership (hypothesis).
 
 The profile registered in ``conftest.py`` keeps them deterministic.
 """
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import level_verdicts
+from fm import joint_witness
 from limitcanon.grassmann import (
     Subspace,
     closure_orbit_set,
@@ -36,10 +39,11 @@ from dataclasses import fields, replace
 
 from limitcanon.numdata import _breakpoint, associated_data, verify_conditions
 from limitcanon.poset import build_poset
-from limitcanon.strata import _search, _witness, enumerate_strata, stratum_key, stratum_of
+from limitcanon.strata import _search, _witness, enumerate_strata, make_key, stratum_key, stratum_of
 from limitcanon.tripartitions import tripartitions
 from limitcanon.weier import weierstrass_degrees
 from oracles import (
+    brute_side,
     fraction_stratum_of,
     fraction_verify_conditions,
     galloping_breakpoint,
@@ -185,6 +189,24 @@ def test_witness_classifies_back_at_its_levels(cfg, data):
 @lru_cache(maxsize=None)
 def _listed_keys(cfg):
     return frozenset(stratum_key(cfg, s) for s in enumerate_strata(cfg))
+
+
+@lru_cache(maxsize=None)
+def _fm_keys(cfg):
+    """The keys of the brute-force candidate product that Fourier-Motzkin realizes."""
+    delta = cfg.delta
+    return frozenset(
+        make_key(cfg, alpha, I, beta, J)
+        for (alpha, I), (beta, J) in product(brute_side(cfg.g_y, delta), brute_side(cfg.g_x, delta))
+        if joint_witness(delta, alpha, I, beta, J) is not None
+    )
+
+
+# each config costs up to 0.7 s of Fourier-Motzkin; 25 examples take about 1 s
+@settings(max_examples=25)
+@given(configs(max_genus=3, max_delta=3))
+def test_enumerated_keys_are_the_fm_realizable_keys(cfg):
+    assert _listed_keys(cfg) == _fm_keys(cfg)
 
 
 @given(weights())

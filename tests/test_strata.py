@@ -4,29 +4,33 @@ import random
 import time
 from dataclasses import fields
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import product
 from math import gcd
 
 import pytest
 
-from conftest import level_verdicts, rand_config_triple, rand_mu
+from conftest import SWEEP_GRID, level_verdicts, rand_config_triple, rand_mu
 from fm import joint_witness
+import limitcanon
 from limitcanon import strata
 from limitcanon.model import CurveConfig
 from limitcanon.numdata import _breakpoint
+from limitcanon.poset import build_poset, closure_of
 from limitcanon.strata import (
     CapExceeded,
+    StratumKey,
     _node_interval,
     _search,
     _witness,
     enumerate_strata,
+    make_key,
     realizable,
     region,
     stratum_dim,
     stratum_key,
     stratum_of,
 )
-from oracles import fraction_enumeration, fraction_witness, region_satisfies
+from oracles import brute_side, fraction_enumeration, fraction_witness, region_satisfies
 
 
 def test_stratum_of_zero_genera():
@@ -189,6 +193,32 @@ def test_key_soundness():
             assert same_key == criteria
 
 
+def test_key_is_the_named_four_tuple():
+    # keys from make_key, stratum_key and closure_of hash and compare as the
+    # plain tuple (alpha, beta, I, J), read by name and refuse assignment
+    assert limitcanon.StratumKey is StratumKey
+    assert StratumKey._fields == ("alpha", "beta", "I", "J")
+    cfg = CurveConfig(g_x=2, g_y=3, delta=3)
+    found = enumerate_strata(cfg)
+    keys = [make_key(cfg, s.alpha, s.I, s.beta, s.J) for s in found]
+    keys += [stratum_key(cfg, s) for s in found]
+    keys += [k for s in found for k in closure_of(cfg, s)]
+    assert any(k.I is None for k in keys) and any(k.J is None for k in keys)
+    for key in keys:
+        assert type(key) is StratumKey
+        plain = (key.alpha, key.beta, key.I, key.J)
+        assert key == plain and tuple(key) == plain and hash(key) == hash(plain)
+        for name in StratumKey._fields:
+            with pytest.raises(AttributeError):
+                setattr(key, name, None)
+    key = make_key(cfg, (2, 1, 1), {0, 2}, (1, 1, 0), {0, 1})
+    assert repr(key) == "StratumKey(alpha=(2, 1, 1), beta=(1, 1, 0), I=frozenset({0, 2}), J=None)"
+    # outputs keep the sort_token order
+    listed = [stratum_key(cfg, s) for s in found]
+    assert listed == sorted(listed, key=StratumKey.sort_token)
+    assert list(build_poset(cfg, strata=found).keys) == listed
+
+
 def test_convexity_of_regions():
     rng = random.Random(5555)
     cfg = CurveConfig(g_x=2, g_y=4, delta=3)
@@ -259,19 +289,6 @@ def test_cap_guard(triple, cap):
     assert time.process_time() - start < 0.25
 
 
-def _brute_side(genus, delta):
-    """Every well-formed (weights, locus) of one focus, by brute force."""
-    if genus == 0:
-        return [((0,) * delta, frozenset(range(delta)))]
-    out = []
-    for weights in product(range(genus + 1), repeat=delta):
-        support = [p for p in range(delta) if weights[p]]
-        for size in range(1, len(support) + 1):
-            if genus <= sum(weights) < genus + size:
-                out.extend((weights, frozenset(locus)) for locus in combinations(support, size))
-    return out
-
-
 ORACLE_CONFIGS = [(g_x, g_y, d) for d in (2, 3) for g_x in range(4) for g_y in range(4)]
 ORACLE_CONFIGS += [(1, 1, 4), (1, 2, 4)]
 
@@ -283,7 +300,7 @@ def test_search_matches_brute_force_fm_oracle():
         cfg = CurveConfig(g_x=g_x, g_y=g_y, delta=delta)
         expected = {
             (alpha, I, beta, J)
-            for (alpha, I), (beta, J) in product(_brute_side(g_y, delta), _brute_side(g_x, delta))
+            for (alpha, I), (beta, J) in product(brute_side(g_y, delta), brute_side(g_x, delta))
             if joint_witness(delta, alpha, I, beta, J) is not None
         }
         found = list(_search(cfg))
@@ -347,10 +364,6 @@ def test_enumerate_classifies_only_the_kept_representatives(monkeypatch, triple)
     cfg = CurveConfig(*triple)
     found = enumerate_strata(cfg)
     assert seen == [(s.witness_mu, g) for s in found for g in (cfg.g_y, cfg.g_x)]
-
-
-SWEEP_GRID = [(g_x, g_y, d) for d in (2, 3) for g_x in range(6) for g_y in range(6) if g_x or g_y]
-SWEEP_GRID += [(0, g, 4) for g in range(1, 6)] + [(g, 0, 4) for g in range(1, 6)]
 
 
 def test_integer_witness_matches_the_fraction_oracle():
