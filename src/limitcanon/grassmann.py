@@ -21,7 +21,16 @@ Goresky, MacPherson and Serganova, 1987).  Closure sets are
 therefore read off one Pluecker vector by masking, without computing any
 V_T; the relation lattice of each S(T) depends on (n, dim V) alone and is
 computed once per shape.  ``tripartition_degenerate`` builds V_T by linear
-algebra for callers that want the subspace itself.
+algebra for callers that want the subspace itself: k_middle meets
+V + k_last in the middle projection of the kernel {v in V : v_first = 0},
+which one row reduction of V with the first columns leading gives.
+
+The layer computes in integers up to its outputs.  A ``Subspace`` keeps
+its Pluecker vector: ``pluecker`` computes it once, from integer minors,
+and returns the stored vector after that.  Each torus invariant is one
+``power_product`` of raw Pluecker coordinates, the base coordinate at
+minus the sum of the other exponents, so no ratio is built and each
+invariant is one ``Fraction`` of two integer products.
 
 Orbits are identified here by
 *fingerprints*: the Pluecker support pattern together with the values of a
@@ -53,11 +62,11 @@ from itertools import combinations, product
 from types import MappingProxyType
 
 from .linalg import (
+    _ZERO,
     _bareiss,
     _integer_scaled,
     hnf_rows,
     monomial_system_solvable,
-    nullspace,
     power_product,
     relation_lattice,
     rref,
@@ -66,6 +75,7 @@ from .tripartitions import Tripartition, pair_compatible, tripartitions
 
 AMBIENT_MAX = 6
 DIM_MAX = 4
+_ONE = Fraction(1)
 
 
 def _desk_guard(n: int, h: int):
@@ -76,12 +86,19 @@ def _desk_guard(n: int, h: int):
 
 
 class Subspace:
-    """Exact rational subspace of k^n, canonicalized to row echelon form."""
+    """Exact rational subspace of k^n, canonicalized to row echelon form.
+
+    Immutable.  ``pluecker`` stores the Pluecker vector on the subspace the
+    first time it is asked, and the hash is stored the first time it is
+    taken; neither takes part in equality, hashing or the repr.
+    """
+
+    __slots__ = ("ambient", "rows", "_pluecker", "_hash")
 
     def __init__(self, basis, ambient: int | None = None):
         if ambient is not None and ambient < 0:
             raise ValueError(f"the ambient size must be nonnegative, got {ambient}")
-        rows = [tuple(Fraction(x) for x in row) for row in basis]
+        rows = [tuple(x if type(x) is Fraction else Fraction(x) for x in row) for row in basis]
         if rows:
             n = len(rows[0])
             if any(len(r) != n for r in rows):
@@ -97,6 +114,7 @@ class Subspace:
             raise ValueError("basis must be linearly independent")
         self.ambient = n
         self.rows = tuple(reduced)
+        self._pluecker = self._hash = None
 
     @property
     def dim(self) -> int:
@@ -110,7 +128,9 @@ class Subspace:
         )
 
     def __hash__(self):
-        return hash((self.ambient, self.rows))
+        if self._hash is None:
+            self._hash = hash((self.ambient, self.rows))
+        return self._hash
 
     def __repr__(self):
         return f"Subspace(dim={self.dim}, ambient={self.ambient})"
@@ -149,73 +169,76 @@ def pluecker(V: Subspace) -> PlueckerVector:
 
     Each row is cleared of denominators once, which scales every maximal
     minor by one factor that the normalization removes; each minor is then
-    an integer Bareiss determinant of the cleared rows.
+    an integer Bareiss determinant of the cleared rows.  The vector is
+    computed once per subspace: it is stored on V and returned after that.
     """
+    pv = V._pluecker
+    if pv is not None:
+        return pv
     _desk_guard(V.ambient, V.dim)
     if V.dim == 0:
-        return PlueckerVector(V.ambient, 0, (Fraction(1),))
-    rows = [_integer_scaled(row)[0] for row in V.rows]
-    minors = [
-        _bareiss([[row[c] for c in cols] for row in rows])
-        for cols in combinations(range(V.ambient), V.dim)
-    ]
-    scale = next(v for v in minors if v)
-    return PlueckerVector(V.ambient, V.dim, tuple(Fraction(v, scale) for v in minors))
+        pv = PlueckerVector(V.ambient, 0, (Fraction(1),))
+    else:
+        rows = [_integer_scaled(row)[0] for row in V.rows]
+        minors = [
+            _bareiss([[row[c] for c in cols] for row in rows])
+            for cols in combinations(range(V.ambient), V.dim)
+        ]
+        scale = next(v for v in minors if v)
+        pv = PlueckerVector(V.ambient, V.dim, tuple(Fraction(v, scale) for v in minors))
+    V._pluecker = pv
+    return pv
 
 
 def _units(n, positions):
     out = []
     for p in sorted(positions):
-        row = [Fraction(0)] * n
-        row[p] = Fraction(1)
-        out.append(tuple(row))
+        row = [_ZERO] * n
+        row[p] = _ONE
+        out.append(row)
     return out
 
 
 def tripartition_degenerate(V: Subspace, tri: Tripartition) -> Subspace:
     """The subspace k_first + (k_middle intersect (V + k_last)).
 
-    Outside the qualifying range the dimension may differ from dim V; the
-    result is returned as computed, never adjusted.
+    A vector of k_middle is v + l with v in V and l in k_last exactly when v
+    vanishes on first and equals it on middle, so the intersection is the
+    middle projection of the kernel {v in V : v_first = 0}.  One row
+    reduction of V with the first columns leading and the middle ones next
+    gives that kernel: it is spanned by the rows whose pivot is not in
+    first, and the rows whose pivot is in middle project to a basis of its
+    image.  Outside the qualifying range the dimension may differ from
+    dim V; the result is returned as computed, never adjusted.
     """
     n = V.ambient
     if tri.ambient != frozenset(range(n)):
         raise ValueError("tripartition must cover the ambient index set")
-    extended = list(V.rows) + _units(n, tri.last)
-    big, _ = rref(extended, n)
-    outside = sorted(frozenset(range(n)) - tri.middle)
-    if big and outside:
-        constraint = [[row[c] for row in big] for c in outside]
-        coeffs = nullspace(constraint, len(big))
-    elif big:
-        coeffs = nullspace([[Fraction(0)] * len(big)], len(big))
-    else:
-        coeffs = []
-    middle_part = []
-    for y in coeffs:
-        vec = [Fraction(0)] * n
-        for cy, row in zip(y, big):
-            if cy:
-                for k in range(n):
-                    vec[k] += cy * row[k]
-        middle_part.append(tuple(vec))
-    gens = _units(n, tri.first) + middle_part
-    reduced, _ = rref(gens, n)
-    return Subspace(reduced, ambient=n)
+    first, middle = sorted(tri.first), sorted(tri.middle)
+    order = first + middle + sorted(tri.last)
+    reduced, pivots = rref([[row[c] for c in order] for row in V.rows], n)
+    lo, hi = len(first), len(first) + len(middle)
+    gens = _units(n, first)
+    for row, p in zip(reduced, pivots):
+        if lo <= p < hi:
+            vec = [_ZERO] * n
+            for k in range(p, hi):
+                vec[order[k]] = row[k]
+            gens.append(vec)
+    return Subspace(gens, ambient=n)
 
 
-def _limit_support(pv: PlueckerVector, exps):
-    """The support of the limit under exponents exps: the nonzero
-    coordinates of minimal weight sum(exps[i] for i in b)."""
-    subsets = pv.subsets()
-    weights = [sum(exps[i] for i in b) for b in subsets]
-    floor = min(w for w, c in zip(weights, pv.coords) if c != 0)
-    return tuple(b for b, w, c in zip(subsets, weights, pv.coords) if c != 0 and w == floor)
+def _limit_support(support, exps):
+    """The support of the limit under exponents exps: the members b of
+    ``support`` (a Pluecker support) of minimal weight sum(exps[i] for i in b)."""
+    weights = [sum(map(exps.__getitem__, b)) for b in support]
+    floor = min(weights)
+    return tuple(b for b, w in zip(support, weights) if w == floor)
 
 
 def _masked(pv: PlueckerVector, supp) -> PlueckerVector:
     """pv with every coordinate outside supp set to zero."""
-    coords = tuple(c if b in supp else Fraction(0) for b, c in zip(pv.subsets(), pv.coords))
+    coords = tuple(c if b in supp else _ZERO for b, c in zip(pv.subsets(), pv.coords))
     return PlueckerVector(pv.ambient, pv.dim, coords)
 
 
@@ -250,12 +273,18 @@ def _characters(pv: PlueckerVector, width: int, offset: int = 0, reference=None)
 
 
 def orbit_fingerprint(pv: PlueckerVector) -> OrbitFingerprint:
-    """Support pattern plus canonical torus-invariant cross-ratios."""
-    chars, values = _characters(pv, pv.ambient)
-    invariants = tuple(
-        power_product(values, rel) for rel in relation_lattice(chars)
-    )
-    return OrbitFingerprint(pv.support(), invariants)
+    """Support pattern plus canonical torus-invariant cross-ratios.
+
+    An interval support S(T) takes its shape from ``_closure_shapes``; any
+    other support has its shape computed here and kept nowhere.
+    """
+    n, h = pv.ambient, pv.dim
+    supp = pv.support()
+    desk = n <= AMBIENT_MAX and h <= DIM_MAX
+    shape = _closure_shapes(n, h).get(supp) if desk else None
+    if shape is None:
+        shape = _shape(supp, [k for k, c in enumerate(pv.coords) if c], n)
+    return OrbitFingerprint(supp, _invariants(pv, *shape))
 
 
 def _require_general_position(pv: PlueckerVector):
@@ -282,28 +311,35 @@ def _interval_support(tri: Tripartition, n: int, h: int):
     return tuple(b for b in combinations(range(n), h) if low <= frozenset(b) <= high)
 
 
+def _shape(supp, positions, n: int):
+    """The shape of a support: the positions of its members among the
+    h-subsets, and for each relation of the lattice of its torus characters
+    the exponents of the coordinates at those positions.  A relation rel
+    weighs the ratios pv_b / pv_base over the members after the first,
+    base, so base gets the exponent -sum(rel) and no ratio is built."""
+    relations = relation_lattice(_support_characters(supp, n))
+    return tuple(positions), tuple((-sum(rel),) + rel for rel in relations)
+
+
 @lru_cache(maxsize=None)
 def _closure_shapes(n: int, h: int):
     """Read-only map from each distinct S(T) over the qualifying
-    tripartitions T to the positions of its members among the h-subsets and
-    the relation lattice of its torus characters.  Depends on (n, h) only;
-    the desk guard keeps the cache to a few dozen entries."""
+    tripartitions T to its ``_shape``.  Depends on (n, h) only; the desk
+    guard keeps the cache to a few dozen entries."""
     position = {b: k for k, b in enumerate(combinations(range(n), h))}
     shapes = {}
     for tri in _qualifying(n, h):
         supp = _interval_support(tri, n, h)
         if supp not in shapes:
-            relations = tuple(relation_lattice(_support_characters(supp, n)))
-            shapes[supp] = (tuple(position[b] for b in supp), relations)
+            shapes[supp] = _shape(supp, [position[b] for b in supp], n)
     return MappingProxyType(shapes)
 
 
-def _invariants(pv: PlueckerVector, positions, relations):
-    """The lattice's products of the ratios pv_b / pv_base over one closure
-    shape, base its first member."""
-    base = pv.coords[positions[0]]
-    values = [pv.coords[k] / base for k in positions[1:]]
-    return tuple(power_product(values, rel) for rel in relations)
+def _invariants(pv: PlueckerVector, positions, exponents):
+    """The torus invariants of pv over one shape: for each exponent vector,
+    the product of pv's coordinates at the shape's positions."""
+    values = [pv.coords[k] for k in positions]
+    return tuple(power_product(values, e) for e in exponents)
 
 
 def closure_orbit_set(V: Subspace):
@@ -352,8 +388,9 @@ def brute_force_closure_fingerprints(V: Subspace, bound: int = 3):
     """
     _desk_guard(V.ambient, V.dim)
     pv = pluecker(V)
+    live = pv.support()
     supports = {
-        _limit_support(pv, exps)
+        _limit_support(live, exps)
         for exps in product(range(-bound, bound + 1), repeat=V.ambient)
     }
     return frozenset(orbit_fingerprint(_masked(pv, supp)) for supp in supports)
@@ -428,20 +465,20 @@ def _pair_setup(V, W, alpha_tilde, beta_tilde, I, J):
 
 
 def _labelled(tri: Tripartition, labels):
-    return Tripartition(
-        frozenset(labels[p] for p in tri.first),
-        frozenset(labels[p] for p in tri.middle),
-        frozenset(labels[p] for p in tri.last),
-    )
+    """tri with each position p renamed labels[p]; the labels are distinct
+    (``_pair_spaces`` checks them), so the parts stay disjoint."""
+    return tuple.__new__(Tripartition, (frozenset(labels[p] for p in part) for part in tri))
 
 
 def _compatible_pairs(V: Subspace, W: Subspace, I, J):
     """Qualifying tripartition pairs of (V, W) whose labelled versions are
     ``pair_compatible``, in a deterministic order."""
-    tris_w = _qualifying(W.ambient, W.dim)
+    tris_w = [(tj, _labelled(tj, J)) for tj in _qualifying(W.ambient, W.dim)]
+    I_set, J_set = frozenset(I), frozenset(J)
     for ti in _qualifying(V.ambient, V.dim):
-        for tj in tris_w:
-            if pair_compatible(_labelled(ti, I), _labelled(tj, J), set(I), set(J)):
+        labelled_i = _labelled(ti, I)
+        for tj, labelled_j in tris_w:
+            if pair_compatible(labelled_i, labelled_j, I_set, J_set):
                 yield ti, tj
 
 
@@ -551,10 +588,11 @@ def pair_brute_force_fingerprints(
     ni, nj = len(I), len(J)
     free_i = [k for k, l in enumerate(I) if l not in shared]
     free_j = [k for k, l in enumerate(J) if l not in shared]
+    live_v, live_w = pv.support(), qw.support()
     support_pairs = set()
 
     def register(uexps, vexps):
-        support_pairs.add((_limit_support(pv, uexps), _limit_support(qw, vexps)))
+        support_pairs.add((_limit_support(live_v, uexps), _limit_support(live_w, vexps)))
 
     base_a = range(-3 * lam, 3 * lam + 1)
     base_b = range(-3 * tau, 3 * tau + 1)

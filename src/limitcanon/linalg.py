@@ -5,7 +5,10 @@ point is never used.  Matrices are sequences of row tuples.  The sizes in
 this package are tiny (ambient dimension at most 6 or 7), so the plain
 O(n^3) algorithms are fine.  Row reduction clears each row's denominators
 once and eliminates fraction-free in integers, dividing by the pivots only
-when it writes the reduced rows.  There is no general rational
+when it writes the reduced rows (every zero entry is one shared
+``Fraction(0)``).  ``power_product`` multiplies numerators and
+denominators into two integers and makes one ``Fraction`` of them, so a
+torus invariant costs one normalization.  There is no general rational
 determinant: ``_bareiss`` takes the determinant of an integer matrix, and
 ``grassmann.pluecker`` calls it on basis rows it has cleared itself.
 """
@@ -14,6 +17,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+
+_ZERO = Fraction(0)
 
 
 def rref(rows, ncols=None):
@@ -51,7 +56,7 @@ def rref(rows, ncols=None):
                 mat[i] = [a // g for a in row] if g > 1 else row
         pivots.append(c)
         r += 1
-    reduced = [tuple(Fraction(a, row[c]) for a in row) for row, c in zip(mat, pivots)]
+    reduced = [tuple(Fraction(a, row[c]) if a else _ZERO for a in row) for row, c in zip(mat, pivots)]
     return reduced, pivots
 
 
@@ -59,20 +64,6 @@ def _cleared(row):
     """The row times the lcm of its entries' denominators, as integers."""
     row = [x if type(x) is int or type(x) is Fraction else Fraction(x) for x in row]
     return _integer_scaled(row)[0] if row else row
-
-
-def nullspace(rows, ncols):
-    """Basis of {x : A x = 0} over Q, from the reduced echelon form."""
-    reduced, pivots = rref(rows, ncols)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for f in free:
-        vec = [Fraction(0)] * ncols
-        vec[f] = Fraction(1)
-        for row, p in zip(reduced, pivots):
-            vec[p] = -row[f]
-        basis.append(tuple(vec))
-    return basis
 
 
 def _integer_scaled(values):
@@ -219,12 +210,18 @@ def relation_lattice(vectors):
 
 
 def power_product(values, exponents):
-    """Exact product of values[i] ** exponents[i] over the rationals."""
-    out = Fraction(1)
+    """Exact product of values[i] ** exponents[i] over the rationals, for
+    int or Fraction values: the numerators and denominators are multiplied
+    into two integers, and one Fraction is made of them."""
+    num = den = 1
     for v, e in zip(values, exponents):
-        if e:
-            out *= Fraction(v) ** e
-    return out
+        if e > 0:
+            num *= v.numerator ** e
+            den *= v.denominator ** e
+        elif e < 0:
+            num *= v.denominator ** -e
+            den *= v.numerator ** -e
+    return Fraction(num, den)
 
 
 def monomial_system_solvable(characters, values, relation_characters=()):

@@ -40,11 +40,9 @@ from math import comb, gcd
 
 from .model import CurveConfig
 from .strata import StratumData, StratumKey, enumerate_strata, stratum_dim, stratum_key
-from .tripartitions import Tripartition
 
 __all__ = [
     "ClosurePoset",
-    "Tripartition",
     "build_poset",
     "closure_of",
     "components",

@@ -13,8 +13,10 @@ Pluecker vector of a limit under one (``limit_pluecker``), with the
 standard subgroup of a tripartition, the closure sets computed the slow
 way (each degenerate subspace by linear algebra, the pair fingerprints
 from their own coupling lattice), single-orbit membership by the
-integer-lattice test on the ratios (``lattice_in_closure``), minors by
-Fraction Gaussian elimination, the base-change terms between the two
+integer-lattice test on the ratios (``lattice_in_closure``), the
+degenerate subspace V_T built from V + k_last (``sum_degenerate``, with its
+rational ``nullspace``), power products one Fraction power at a time
+(``fraction_power_product``), minors by Fraction Gaussian elimination, the base-change terms between the two
 Weierstrass presentations, the fiber divisor of a model and the twisted
 multidegrees component by component through ``intersection``.  Row
 reduction over the rationals checks the fraction-free ``linalg.rref``.  A
@@ -43,11 +45,12 @@ from math import lcm
 from limitcanon.grassmann import (
     PairFingerprint,
     PlueckerVector,
+    Subspace,
     orbit_fingerprint,
     pluecker,
     tripartition_degenerate,
 )
-from limitcanon.linalg import hnf_rows, monomial_system_solvable, power_product, relation_lattice
+from limitcanon.linalg import hnf_rows, monomial_system_solvable, power_product, relation_lattice, rref
 from limitcanon.model import DivisorOnModel, MultiDegree, component_genus, intersection
 from limitcanon.poset import closure_of, neighborhood_radius
 from limitcanon.numdata import NumericalData, associated_data, verify_conditions
@@ -283,6 +286,68 @@ def fraction_rref(rows, ncols=None):
             break
     reduced = [tuple(row) for row in mat[:r]]
     return reduced, pivots
+
+
+def nullspace(rows, ncols):
+    """Basis of {x : A x = 0} over Q, from the reduced echelon form."""
+    reduced, pivots = rref(rows, ncols)
+    free = [c for c in range(ncols) if c not in pivots]
+    basis = []
+    for f in free:
+        vec = [Fraction(0)] * ncols
+        vec[f] = Fraction(1)
+        for row, p in zip(reduced, pivots):
+            vec[p] = -row[f]
+        basis.append(tuple(vec))
+    return basis
+
+
+def fraction_power_product(values, exponents):
+    """Product of values[i] ** exponents[i], one Fraction power at a time."""
+    out = Fraction(1)
+    for v, e in zip(values, exponents):
+        if e:
+            out *= Fraction(v) ** e
+    return out
+
+
+def _units(n, positions):
+    out = []
+    for p in sorted(positions):
+        row = [Fraction(0)] * n
+        row[p] = Fraction(1)
+        out.append(tuple(row))
+    return out
+
+
+def sum_degenerate(V, tri):
+    """k_first + (k_middle intersect (V + k_last)) the long way: reduce
+    V + k_last, intersect it with k_middle through the kernel of its
+    coordinates outside middle, add k_first and reduce again."""
+    n = V.ambient
+    if tri.ambient != frozenset(range(n)):
+        raise ValueError("tripartition must cover the ambient index set")
+    extended = list(V.rows) + _units(n, tri.last)
+    big, _ = rref(extended, n)
+    outside = sorted(frozenset(range(n)) - tri.middle)
+    if big and outside:
+        constraint = [[row[c] for row in big] for c in outside]
+        coeffs = nullspace(constraint, len(big))
+    elif big:
+        coeffs = nullspace([[Fraction(0)] * len(big)], len(big))
+    else:
+        coeffs = []
+    middle_part = []
+    for y in coeffs:
+        vec = [Fraction(0)] * n
+        for cy, row in zip(y, big):
+            if cy:
+                for k in range(n):
+                    vec[k] += cy * row[k]
+        middle_part.append(tuple(vec))
+    gens = _units(n, tri.first) + middle_part
+    reduced, _ = rref(gens, n)
+    return Subspace(reduced, ambient=n)
 
 
 def _qualifying(n, h):

@@ -471,6 +471,40 @@ def test_golden_orbit_closure(tmp_path, capsys, name):
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+# sha256 of `orbit-closure --brute-force` on a general 3-space of k^6 (the
+# costliest closure shape; bound 1 keeps the walk at 3^6 vectors) and on a
+# coupled pair sharing all three nodes.
+GOLDEN_ORBIT_MORE = {
+    "general_k6_dim3": (
+        {"basis": [["1", "0", "0", "1", "2", "3"], ["0", "1", "0", "4", "-1", "5"], ["0", "0", "1", "2", "7", "-3"]]},
+        ["--bound", "1"],
+        "45b8fd3386abf1dee88be1c74027c7d77e395f1ee66e7a962ecc908163889cfc",
+    ),
+    "pair_three_shared": (
+        {
+            "V": {"basis": [["1", "2", "-1"], ["0", "3", "4"]]},
+            "W": {"basis": [["2", "-3", "5"]]},
+            "I": ["p", "q", "r"],
+            "J": ["p", "q", "r"],
+            "alpha_tilde": 2,
+            "beta_tilde": 3,
+        },
+        [],
+        "b7406f6481a734e4659e2aaa5d883604c3b6272d66cc29ee0a9dbc66d6a6dfb3",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_ORBIT_MORE))
+def test_golden_orbit_closure_more(tmp_path, capsys, name):
+    payload, flags, digest = GOLDEN_ORBIT_MORE[name]
+    path = tmp_path / "payload.json"
+    path.write_text(json.dumps(payload))
+    code, out, _ = run_cli(capsys, ["orbit-closure", "--input", str(path), "--brute-force", *flags])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_exit_code_flag_error():
     with pytest.raises(SystemExit) as err:
         main(["enumerate", "--gx", "2"])

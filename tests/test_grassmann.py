@@ -2,10 +2,15 @@
 
 import random
 from fractions import Fraction
+from time import perf_counter
+
 import pytest
 
+from limitcanon import grassmann, linalg
+from limitcanon import tripartitions as tripartitions_module
 from limitcanon.grassmann import (
     Subspace,
+    _closure_shapes,
     brute_force_closure_fingerprints,
     closure_orbit_set,
     in_closure,
@@ -243,6 +248,63 @@ def test_orbit_points_satisfy_quadrics():
     other = rand_general_subspace(rng, 5, 2)
     if pluecker(other) != ref:
         assert not satisfies_orbit_quadrics(pluecker(other), ref)
+
+
+def _module_caches():
+    """Size of every cache and container a module of the orbit layer holds."""
+    sizes = {}
+    for module in (grassmann, linalg, tripartitions_module):
+        for name, value in vars(module).items():
+            if hasattr(value, "cache_info"):
+                sizes[module.__name__, name] = value.cache_info().currsize
+            elif isinstance(value, (dict, list, set)) and not name.startswith("__"):
+                sizes[module.__name__, name] = len(value)
+    return sizes
+
+
+def test_orbit_fingerprints_keep_no_cache_per_support():
+    # random subspaces have many distinct Pluecker supports; a cache keyed
+    # by them would grow with the number of inputs
+    rng = random.Random(29)
+    for n in range(1, 7):
+        for h in range(min(n, 4) + 1):
+            _closure_shapes(n, h)
+    before = _module_caches()
+    shapes = _closure_shapes.cache_info().currsize
+    seen = 0
+    while seen < 500:
+        n = rng.randint(2, 6)
+        h = rng.randint(1, min(n, 4))
+        rows = [[rng.choice((0, 0, 1, -1, 2, Fraction(1, 3))) for _ in range(n)] for _ in range(h)]
+        try:
+            W = Subspace(rows, ambient=n)
+        except ValueError:
+            continue
+        pv = pluecker(W)
+        if all(pv.coords):
+            continue
+        orbit_fingerprint(pv)
+        seen += 1
+    assert _closure_shapes.cache_info().currsize == shapes
+    assert _module_caches() == before
+
+
+def test_tripartition_is_a_checked_named_tuple():
+    a, b = frozenset({0}), frozenset({1, 2})
+    t = Tripartition(a, frozenset(), b)
+    assert t == (a, frozenset(), b) and hash(t) == hash((a, frozenset(), b))
+    assert t.ambient == frozenset({0, 1, 2})
+    assert repr(t) == "Tripartition(first=frozenset({0}), middle=frozenset(), last=frozenset({1, 2}))"
+    for parts in ((a, a, b), (a, b, a), (a, b, b)):
+        with pytest.raises(ValueError):
+            Tripartition(*parts)
+
+
+def test_tripartitions_are_generated_lazily():
+    t0 = perf_counter()
+    first = next(tripartitions(range(40)))
+    assert perf_counter() - t0 < 0.5
+    assert first == (frozenset(range(40)), frozenset(), frozenset())
 
 
 def test_desk_scale_guard():

@@ -8,12 +8,11 @@ from limitcanon.linalg import (
     hnf_rows,
     integer_kernel,
     monomial_system_solvable,
-    nullspace,
     power_product,
     relation_lattice,
     rref,
 )
-from oracles import fraction_det, fraction_rref
+from oracles import fraction_det, fraction_rref, nullspace
 
 
 def test_rref_and_nullspace():

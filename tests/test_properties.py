@@ -1,7 +1,8 @@
 """Property tests of classification, witnesses, the level check, the
 enumerated keys against Fourier-Motzkin, the breakpoint walk, the integer
-condition check, the model's node pass, Weierstrass totals, closures and
-torus-orbit membership (hypothesis).
+condition check, the model's node pass, Weierstrass totals, closures,
+torus-orbit membership, integer power products, the one-elimination
+degenerate subspace and the stored Pluecker vector (hypothesis).
 
 The profile registered in ``conftest.py`` keeps them deterministic.
 """
@@ -37,6 +38,7 @@ from limitcanon.model import (
 )
 from dataclasses import fields, replace
 
+from limitcanon.linalg import power_product
 from limitcanon.numdata import _breakpoint, associated_data, verify_conditions
 from limitcanon.poset import build_poset
 from limitcanon.strata import _search, _witness, enumerate_strata, make_key, stratum_key, stratum_of
@@ -44,12 +46,14 @@ from limitcanon.tripartitions import tripartitions
 from limitcanon.weier import weierstrass_degrees
 from oracles import (
     brute_side,
+    fraction_power_product,
     fraction_stratum_of,
     fraction_verify_conditions,
     galloping_breakpoint,
     lattice_in_closure,
     pairwise_multidegree,
     scan_oracle,
+    sum_degenerate,
 )
 
 positive = st.fractions(min_value=Fraction(1, 64), max_value=64, max_denominator=64)
@@ -327,3 +331,57 @@ def test_in_closure_matches_the_lattice_test_and_the_closure_set(query):
     assert verdict == (orbit_fingerprint(pluecker(W)) in closure_orbit_set(V))
     if member:
         assert verdict
+
+
+rationals = st.integers(-12, 12) | st.fractions(min_value=-12, max_value=12, max_denominator=12)
+
+
+@given(st.lists(st.tuples(rationals, st.integers(-6, 6)), max_size=6))
+def test_power_product_matches_fraction_powers(terms):
+    values, exponents = [v for v, _ in terms], [e for _, e in terms]
+    if any(v == 0 and e < 0 for v, e in terms):
+        with pytest.raises(ZeroDivisionError):
+            fraction_power_product(values, exponents)
+        with pytest.raises(ZeroDivisionError):
+            power_product(values, exponents)
+    else:
+        out = power_product(values, exponents)
+        assert type(out) is Fraction
+        assert out == fraction_power_product(values, exponents)
+
+
+@st.composite
+def any_subspaces(draw, dims=st.integers(0, 4)):
+    """A subspace of k^n, n <= 6, of dimension h <= 4, with integer or
+    fractional entries and often zero Pluecker coordinates; the draws
+    start from the largest ambient."""
+    h = draw(dims)
+    n = 6 - draw(st.integers(0, 6 - h))
+    entries = st.integers(-3, 3) | st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    rows = draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=h, max_size=h))
+    V = _subspace(rows, n)
+    assume(V is not None)
+    return V
+
+
+# one case per dimension, so that each of 0-4 is drawn; the ambient starts at 6
+@pytest.mark.parametrize("h", range(5))
+@settings(max_examples=3)
+@given(data=st.data())
+def test_tripartition_degenerate_matches_the_sum_construction(h, data):
+    V = data.draw(any_subspaces(st.just(h)))
+    # every tripartition, qualifying or not, first = the whole ambient included
+    for tri in tripartitions(range(V.ambient)):
+        assert tripartition_degenerate(V, tri) == sum_degenerate(V, tri)
+
+
+@settings(max_examples=50)
+@given(any_subspaces())
+def test_pluecker_is_stored_once_per_subspace(V):
+    pv = pluecker(V)
+    assert pluecker(V) is pv
+    fresh = Subspace(V.rows, ambient=V.ambient)
+    # the stored vector takes no part in equality, hashing or the repr
+    assert fresh == V and V == fresh and hash(fresh) == hash(V) and repr(fresh) == repr(V)
+    assert {V: True}.get(fresh)
+    assert pluecker(fresh) == pv
