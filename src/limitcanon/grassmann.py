@@ -89,11 +89,11 @@ class Subspace:
     """Exact rational subspace of k^n, canonicalized to row echelon form.
 
     Immutable.  ``pluecker`` stores the Pluecker vector on the subspace the
-    first time it is asked, and the hash is stored the first time it is
-    taken; neither takes part in equality, hashing or the repr.
+    first time it is asked; it takes no part in equality, hashing or the
+    repr.
     """
 
-    __slots__ = ("ambient", "rows", "_pluecker", "_hash")
+    __slots__ = ("ambient", "rows", "_pluecker")
 
     def __init__(self, basis, ambient: int | None = None):
         if ambient is not None and ambient < 0:
@@ -114,7 +114,7 @@ class Subspace:
             raise ValueError("basis must be linearly independent")
         self.ambient = n
         self.rows = tuple(reduced)
-        self._pluecker = self._hash = None
+        self._pluecker = None
 
     @property
     def dim(self) -> int:
@@ -128,9 +128,7 @@ class Subspace:
         )
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.ambient, self.rows))
-        return self._hash
+        return hash((self.ambient, self.rows))
 
     def __repr__(self):
         return f"Subspace(dim={self.dim}, ambient={self.ambient})"

@@ -10,11 +10,8 @@ overlapping index sets must satisfy two implication constraints, checked by
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import product
 from typing import NamedTuple
-
-_TABLE_MAX = 6  # the desk-scale ambient of the orbit layer (grassmann.AMBIENT_MAX)
 
 
 class _Parts(NamedTuple):
@@ -25,9 +22,9 @@ class _Parts(NamedTuple):
 
 class Tripartition(_Parts):
     """A named 3-tuple (first, middle, last): it hashes and compares as the
-    plain tuple of its parts.  Construction rejects overlapping parts;
-    ``tuple.__new__(Tripartition, parts)`` skips that check, for parts that
-    are disjoint by construction."""
+    plain tuple of its parts.  Construction, ``_make`` and ``_replace``
+    reject overlapping parts; ``tuple.__new__(Tripartition, parts)`` skips
+    that check, for parts that are disjoint by construction."""
 
     __slots__ = ()
 
@@ -36,41 +33,25 @@ class Tripartition(_Parts):
             raise ValueError("tripartition parts must be disjoint")
         return tuple.__new__(cls, (first, middle, last))
 
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
     @property
     def ambient(self) -> frozenset:
         return self.first | self.middle | self.last
 
 
-def _generate(items):
-    """The tripartitions of the sorted list ``items``, one at a time; their
-    parts are disjoint by construction, so the check is skipped."""
+def tripartitions(ambient):
+    """All ordered tripartitions of ``ambient``, in a deterministic order,
+    generated lazily; their parts are disjoint by construction, so the
+    check is skipped."""
+    items = sorted(ambient)
     for assignment in product((0, 1, 2), repeat=len(items)):
         parts = ([], [], [])
         for x, slot in zip(items, assignment):
             parts[slot].append(x)
         yield tuple.__new__(Tripartition, (frozenset(parts[0]), frozenset(parts[1]), frozenset(parts[2])))
-
-
-@lru_cache(maxsize=None)
-def _range_table(n: int):
-    """Every tripartition of range(n), built once; equal parts are one
-    shared frozenset, so the table of n = 6 holds 64 distinct parts."""
-    shared = {}
-    return tuple(tuple.__new__(Tripartition, tuple(shared.setdefault(p, p) for p in tri)) for tri in _generate(range(n)))
-
-
-def tripartitions(ambient):
-    """All ordered tripartitions of ``ambient``, in a deterministic order,
-    generated lazily.  The orbit layer and its callers walk those of
-    range(n), n <= _TABLE_MAX, over and over; they come from a table built
-    once per n (Tripartitions are immutable, so the table is shared), which
-    bounds the cache at _TABLE_MAX + 1 entries."""
-    items = sorted(ambient)
-    n = len(items)
-    if n <= _TABLE_MAX and items == list(range(n)):
-        yield from _range_table(n)
-    else:
-        yield from _generate(items)
 
 
 def pair_compatible(tri_i: Tripartition, tri_j: Tripartition, I, J) -> bool:

@@ -298,6 +298,12 @@ def test_tripartition_is_a_checked_named_tuple():
     for parts in ((a, a, b), (a, b, a), (a, b, b)):
         with pytest.raises(ValueError):
             Tripartition(*parts)
+        with pytest.raises(ValueError):
+            Tripartition._make(parts)
+    with pytest.raises(ValueError):
+        t._replace(middle=a)
+    assert t._replace(last=frozenset({1})) == (a, frozenset(), frozenset({1}))
+    assert type(Tripartition._make((a, b, frozenset()))) is Tripartition
 
 
 def test_tripartitions_are_generated_lazily():
