@@ -26,6 +26,14 @@ is the independent check of ``closure_of``, beside a second one that
 samples weight vectors in the neighborhood of a witness that
 ``neighborhood_radius`` bounds.
 
+``closure_of`` makes a new ``StratumKey`` for each member.  ``build_poset``
+runs the same routine over a table of its own keys, so every closure
+member is one of ``poset.keys`` (the same object, with its shared loci)
+and the closures keep no key of their own.  The covering pairs come
+from one walk over the closures by key position, which both
+``covering_edges`` and ``to_dot`` read.  Each side's degenerations are
+computed afresh per stratum: no table outlives the call.
+
 Irreducible components are counted as the maximal strata of the closure
 poset; strata are pairwise disjoint and each is irreducible, so maximal
 stratum closures are exactly the components.
@@ -61,24 +69,32 @@ def _side_moves(members, weights, genus_target, shared):
     ``last`` and the locus ``middle`` (``None`` when the new total is down
     to the other genus, as in ``make_key``).  Returns a dict from the trace
     ``(first & shared, last & shared)``, as bitmasks over the nodes, to the
-    set of side keys of the tripartitions that have it.
+    set of side keys of the tripartitions that have it.  Each member's bit
+    within ``shared`` is taken once, before the walk.
     """
     total = sum(weights)
+    bits = {p: (1 << p) & shared for p in members}
+    n_firsts = range(genus_target + len(members) - total)
     groups = {}
     for n_last in range(min(total - genus_target, len(members)) + 1):
         saturated = total - n_last <= genus_target
         for last in combinations(members, n_last):
             dropped = list(weights)
+            last_trace = 0
             for p in last:
                 dropped[p] -= 1
+                last_trace |= bits[p]
             dropped = tuple(dropped)
-            last_trace = sum(1 << p for p in last) & shared
             rest = members.difference(last)
-            for n_first in range(genus_target + len(members) - total):
+            whole = (dropped, None)
+            for n_first in n_firsts:
                 for first in combinations(rest, n_first):
-                    side = (dropped, None if saturated else rest.difference(first))
-                    trace = (sum(1 << p for p in first) & shared, last_trace)
-                    groups.setdefault(trace, set()).add(side)
+                    first_trace = 0
+                    if shared:
+                        for p in first:
+                            first_trace |= bits[p]
+                    side = whole if saturated else (dropped, rest.difference(first))
+                    groups.setdefault((first_trace, last_trace), set()).add(side)
     return groups
 
 
@@ -90,6 +106,20 @@ def _coupled_groups(shared, x_moves, y_moves):
         for (j1, j3), y_keys in y_moves:
             if (i1 == j1 and i3 == j3) or not shared & ~(i3 | j1) or not shared & ~(i1 | j3):
                 yield x_keys, y_keys
+
+
+def _closure(config: CurveConfig, s, key) -> frozenset:
+    """The closure of ``closure_of``, each member made by ``key`` from the
+    plain tuple (alpha, beta, I, J)."""
+    shared = 0
+    if config.g_x > 0 and config.g_y > 0:
+        shared = sum(1 << p for p in s.I & s.J)
+    x_moves = _side_moves(s.I, s.alpha, config.g_y, shared).items()
+    y_moves = _side_moves(s.J, s.beta, config.g_x, shared).items()
+    out = set()
+    for x_keys, y_keys in _coupled_groups(shared, x_moves, y_moves):
+        out.update(key((a, b, i, j)) for a, i in x_keys for b, j in y_keys)
+    return frozenset(out)
 
 
 def closure_of(config: CurveConfig, s: StratumData) -> frozenset:
@@ -105,16 +135,10 @@ def closure_of(config: CurveConfig, s: StratumData) -> frozenset:
     they are exactly the two implications of ``pair_compatible`` on the
     traces, so one integer test decides every pair in the two groups.  With
     a zero genus there is no coupling and S is empty: one group per side.
+    Each member is a new ``StratumKey``; ``build_poset`` computes the same
+    sets over its own keys.
     """
-    shared = 0
-    if config.g_x > 0 and config.g_y > 0:
-        shared = sum(1 << p for p in s.I & s.J)
-    x_moves = _side_moves(s.I, s.alpha, config.g_y, shared).items()
-    y_moves = _side_moves(s.J, s.beta, config.g_x, shared).items()
-    out = set()
-    for x_keys, y_keys in _coupled_groups(shared, x_moves, y_moves):
-        out.update(StratumKey(a, b, i, j) for a, i in x_keys for b, j in y_keys)
-    return frozenset(out)
+    return _closure(config, s, StratumKey._make)
 
 
 @dataclass
@@ -139,12 +163,22 @@ class ClosurePoset:
         ``StratumKey.sort_token`` order, so each a's covered members are
         listed in that order by their position among the keys.
         """
-        position = {k: i for i, k in enumerate(self.keys)}
-        edges = []
-        for a in self.keys:
-            below = [b for b in self.closure[a] if self.dims[b] == self.dims[a] - 1]
-            edges.extend((a, b) for b in sorted(below, key=position.__getitem__))
-        return edges
+        keys = self.keys
+        return [(keys[i], keys[j]) for i, j in _covering_positions(self)]
+
+
+def _covering_positions(poset: ClosurePoset):
+    """The covering pairs as positions (i, j) among the keys, in the order
+    of ``ClosurePoset.covering_edges``: one walk over the closures, each
+    a's covered members sorted by position."""
+    position = {k: i for i, k in enumerate(poset.keys)}
+    dims = [poset.dims[k] for k in poset.keys]
+    for i, a in enumerate(poset.keys):
+        lower = dims[i] - 1
+        below = [j for j in map(position.__getitem__, poset.closure[a]) if dims[j] == lower]
+        below.sort()
+        for j in below:
+            yield i, j
 
 
 def build_poset(config: CurveConfig, strata=None, cap=None) -> ClosurePoset:
@@ -152,7 +186,8 @@ def build_poset(config: CurveConfig, strata=None, cap=None) -> ClosurePoset:
         strata = enumerate_strata(config, cap=cap)
     rep = {stratum_key(config, s): s for s in strata}
     keys = tuple(sorted(rep, key=StratumKey.sort_token))
-    closure = {k: closure_of(config, rep[k]) for k in keys}
+    own = {k: k for k in keys}
+    closure = {k: _closure(config, rep[k], own.__getitem__) for k in keys}
     dims = {k: stratum_dim(config, rep[k])["dim"] for k in keys}
     return ClosurePoset(config, keys, rep, closure, dims)
 
@@ -234,13 +269,15 @@ def _key_label(config, key: StratumKey, dim: int) -> str:
 
 
 def to_dot(poset: ClosurePoset) -> str:
-    """DOT digraph of the covering relation, larger strata on top."""
-    names = {k: f"s{i}" for i, k in enumerate(poset.keys)}
+    """DOT digraph of the covering relation, larger strata on top.
+
+    Node i is ``s{i}``, the i-th key; each label is escaped once, so node
+    labels holding quotes or backslashes stay valid DOT.
+    """
     lines = ["digraph strata {"]
-    for k in poset.keys:
-        label = _key_label(poset.config, k, poset.dims[k])
-        lines.append(f'  {names[k]} [label="{label}"];')
-    for a, b in poset.covering_edges():
-        lines.append(f"  {names[a]} -> {names[b]};")
+    for i, k in enumerate(poset.keys):
+        label = _key_label(poset.config, k, poset.dims[k]).replace("\\", "\\\\").replace('"', '\\"')
+        lines.append(f'  s{i} [label="{label}"];')
+    lines.extend(f"  s{i} -> s{j};" for i, j in _covering_positions(poset))
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -21,9 +21,15 @@ system splits into one condition per node, so one depth-first search over
 the nodes (``_search``) finds every realizable candidate with a feasible
 r, an integer pair (rn, rd): the pin of its r-interval, else the midpoint
 (lo + 1 when unbounded, so 1 when a genus is zero).  At each node the
-search lists once per side the options that can still reach that side's
+search takes per side the options that can still reach that side's
 window, then pairs every focus-X option of its list with every focus-Y
-option of the other.
+option of the other.  Those lists depend only on (total, locus size,
+nodes left), so each call keeps one table per side from that triple to
+its list; loci are bitmasks during the search, and each distinct locus
+becomes one frozenset per call, which every leaf, key and StratumData
+with that locus shares (at most 2^delta of them).  The tables and loci
+belong to the call and are dropped with it; nothing is cached at module
+level.
 
 Scaling mu by t > 0 keeps the data and scales the levels, so a witness
 lives on one integer scale (``_witness``): with D = 2 lcm(1 .. max(g_X,
@@ -315,47 +321,70 @@ def _search(config: CurveConfig):
     """Depth-first search over the nodes for every realizable candidate.
 
     Yields (alpha, I, beta, J, r), r an integer pair (``_leaf_ratio``).
-    At node p each side lists once its options (w_p, p in the locus) that
-    can still reach its window (``_reachable``), with the locus each one
-    leads to; the search then takes every focus-X option of that list and,
-    inside it, every focus-Y option of the other.  With both genera
-    positive it narrows the r-interval (``_narrow``) and prunes once it is
-    empty; with a zero genus r stays 1.
+    At node p each side takes its options (w_p, p in the locus) that can
+    still reach its window (``_reachable``); these depend only on (total,
+    locus size, nodes left), so each side keeps one table from that triple
+    to its option list, filled the first time the search meets it.  The
+    search returns from a node whose focus-Y list is empty, and otherwise
+    takes every focus-X option and, inside it, every focus-Y option.  With
+    both genera positive it narrows the r-interval (``_narrow``) and prunes
+    once it is empty; with a zero genus r stays 1.  Loci are bitmasks until
+    a leaf, which hands out one frozenset per distinct locus, shared by
+    every leaf of the call.  The tables and the loci live as long as the
+    generator.
     """
     delta, joint = config.delta, config.g_x > 0 and config.g_y > 0
 
-    def choices(genus):
+    def side(genus):
+        """The side's reachable-option lookup over its own table."""
         if genus == 0:
-            return ((0, True),)
-        return ((0, False),) + tuple((w, on) for w in range(1, genus + 1) for on in (False, True))
+            options = ((0, True),)
+        else:
+            options = ((0, False),) + tuple((w, on) for w in range(1, genus + 1) for on in (False, True))
+        table = {}
 
-    options_i, options_j = choices(config.g_y), choices(config.g_x)
+        def window(total, size, left):
+            found = table.get((total, size, left))
+            if found is None:
+                found = table[total, size, left] = tuple(
+                    (w, on) for w, on in options if _reachable(genus, total + w, size + on, left)
+                )
+            return found
 
-    def window(options, genus, total, locus, p, left):
-        """The options (w, on) of node p that keep the side's window reachable,
-        each with the locus it leads to."""
-        return [
-            (w, on, locus + (p,) if on else locus)
-            for w, on in options
-            if _reachable(genus, total + w, len(locus) + on, left)
-        ]
+        return window
 
-    def descend(alpha, I, sum_a, beta, J, sum_b, state):
+    window_i, window_j = side(config.g_y), side(config.g_x)
+    loci = {}
+
+    def locus(mask):
+        found = loci.get(mask)
+        if found is None:
+            found = loci[mask] = frozenset(p for p in range(delta) if mask >> p & 1)
+        return found
+
+    def descend(alpha, I, n_i, sum_a, beta, J, n_j, sum_b, state):
         p = len(alpha)
         if p == delta:
-            yield alpha, frozenset(I), beta, frozenset(J), _leaf_ratio(state)
+            yield alpha, locus(I), beta, locus(J), _leaf_ratio(state)
             return
         left = delta - 1 - p
-        ys = window(options_j, config.g_x, sum_b, J, p, left)
-        for a, in_i, locus_i in window(options_i, config.g_y, sum_a, I, p, left):
-            for b, in_j, locus_j in ys:
+        ys = window_j(sum_b, n_j, left)
+        if not ys:
+            return
+        bit = 1 << p
+        on_i, on_j = I | bit, J | bit
+        for a, in_i in window_i(sum_a, n_i, left):
+            locus_i = on_i if in_i else I
+            alpha_a = alpha + (a,)
+            for b, in_j in ys:
                 narrowed = _narrow(state, a, in_i, b, in_j) if joint else state
                 if narrowed is not None:
                     yield from descend(
-                        alpha + (a,), locus_i, sum_a + a, beta + (b,), locus_j, sum_b + b, narrowed
+                        alpha_a, locus_i, n_i + in_i, sum_a + a,
+                        beta + (b,), on_j if in_j else J, n_j + in_j, sum_b + b, narrowed,
                     )
 
-    return descend((), (), 0, (), (), 0, ((0, 1), None, None))
+    return descend((), 0, 0, 0, (), 0, 0, 0, ((0, 1), None, None))
 
 
 def _witness(config: CurveConfig, alpha, I, beta, J, r):
@@ -366,23 +395,31 @@ def _witness(config: CurveConfig, alpha, I, beta, J, r):
     a side whose genus is zero has level 0 and puts no condition on m.
     Each m_p is level/w_p on that side's locus, and off every locus the
     midpoint of the intersection of both sides' node intervals
-    (``_node_interval``), or its low end plus rd D when it is unbounded.
+    (``_node_interval``, written out here in integers), or its low end plus
+    rd D when it is unbounded.
     """
     scale = 2 * lcm(*range(1, max(config.g_x, config.g_y) + 2))
-    c, d = r[1] * scale, r[0] * scale
-    levels = (c if config.g_y else 0, d if config.g_x else 0)
-    sides = [side for side in zip(levels, (alpha, beta), (I, J)) if side[0]]
+    c = r[1] * scale
+    c_x = c if config.g_y else 0
+    c_y = r[0] * scale if config.g_x else 0
     m = []
-    for p in range(config.delta):
-        pinned = [level // w[p] for level, w, locus in sides if p in locus]
-        if pinned:
-            m.append(pinned[0])
-            continue
-        ends = [_node_interval(level, w[p]) for level, w, _ in sides]
-        lo = max((low for low, _ in ends), default=0)
-        hi = min((high for _, high in ends if high is not None), default=None)
-        m.append(lo + c if hi is None else (lo + hi) // 2)
-    return m, levels
+    for p, (a, b) in enumerate(zip(alpha, beta)):
+        if c_x and p in I:
+            m.append(c_x // a)
+        elif c_y and p in J:
+            m.append(c_y // b)
+        else:
+            lo, hi = 0, None
+            if c_x:
+                lo = c_x // (a + 1)
+                if a:
+                    hi = c_x // a
+            if c_y:
+                lo = max(lo, c_y // (b + 1))
+                if b and (hi is None or c_y // b < hi):
+                    hi = c_y // b
+            m.append(lo + c if hi is None else (lo + hi) // 2)
+    return m, (c_x, c_y)
 
 
 def _at_levels(config: CurveConfig, m, levels, alpha, I, beta, J) -> bool:
@@ -465,8 +502,10 @@ def enumerate_strata(config: CurveConfig, cap: int | None = None, jobs: int = 1)
     Every realizable candidate comes from one lazy node search
     (``_search``), gets its integer witness from the ratio the search found
     (``_witness``), and is checked at its own levels (``_at_levels``).
-    Every positive rational weight vector classifies onto exactly one of
-    the returned keys.  The stored representative keeps the witness that is
+    Its key is built from the search's own tuples and shared loci, as
+    ``make_key`` would build it.  Every positive rational weight vector
+    classifies onto exactly one of the returned keys.  The stored
+    representative keeps the witness that is
     lexicographically smallest once normalized (``_precedes``), so the
     result does not depend on the search order.  Only it is classified
     back, in integers: its breakpoints must be its levels
@@ -477,12 +516,13 @@ def enumerate_strata(config: CurveConfig, cap: int | None = None, jobs: int = 1)
     effect; it is accepted so that existing callers keep working.
     """
     cap = DEFAULT_CAP if cap is None else cap
+    g_x, g_y = config.g_x, config.g_y
     kept: dict[StratumKey, tuple] = {}
     for passed, (alpha, I, beta, J, r) in enumerate(_search(config), 1):
         if passed > cap:
             raise CapExceeded(f"candidate count exceeded the cap {cap}")
         m, levels = _checked_witness(config, alpha, I, beta, J, r)
-        key = make_key(config, alpha, I, beta, J)
+        key = StratumKey(alpha, beta, I if sum(alpha) > g_y else None, J if sum(beta) > g_x else None)
         old = kept.get(key)
         if old is None or _precedes(m, old[0]):
             kept[key] = (m, levels, alpha, I, beta, J)

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -155,6 +156,29 @@ def test_poset_dot(capsys):
     )
     assert code == 0
     assert out.startswith("digraph strata {")
+
+
+def test_poset_dot_escapes_quotes_and_backslashes_in_labels(capsys):
+    # a node label is one DOT double-quoted string: a quote or a backslash
+    # in a node name is escaped, and unescaping gives the label back
+    code, out, _ = run_cli(
+        capsys,
+        ["poset", "--gx", "2", "--gy", "4", "--delta", "2", "--format", "dot", "--labels", 'p"1,q\\2'],
+    )
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "digraph strata {" and lines[-1] == "}"
+    node = re.compile(r'  s\d+ \[label="((?:[^"\\]|\\.)*)"\];')
+    edge = re.compile(r"  s\d+ -> s\d+;")
+    labels = []
+    for line in lines[1:-1]:
+        found = node.fullmatch(line)
+        if found is None:
+            assert edge.fullmatch(line), line
+        else:
+            labels.append(re.sub(r"\\(.)", r"\1", found.group(1)))
+    assert labels and any('{p"1,q\\2}' in label for label in labels)
+    assert len(labels) == len(set(labels))
 
 
 def test_weierstrass_command(capsys):

@@ -8,6 +8,7 @@ from itertools import combinations
 
 import pytest
 
+from conftest import SWEEP_GRID
 from limitcanon.model import CurveConfig
 from limitcanon.poset import (
     _coupled_groups,
@@ -313,3 +314,23 @@ def test_poset_cpu_guard_delta5():
     start = time.process_time()
     build_poset(cfg, strata=found)
     assert time.process_time() - start < 0.35
+
+
+def test_closure_members_are_the_posets_own_keys():
+    # build_poset's closures hold its keys themselves, not equal copies;
+    # standalone closure_of makes new keys and gives the same sets
+    checked = 0
+    for triple in SWEEP_GRID:
+        cfg = CurveConfig(*triple)
+        found = enumerate_strata(cfg)
+        p = build_poset(cfg, strata=found)
+        own = {id(k) for k in p.keys}
+        for s in found:
+            key = stratum_key(cfg, s)
+            closure = p.closure[key]
+            assert all(id(o) in own for o in closure), triple
+            fresh = closure_of(cfg, s)
+            assert fresh == closure, (triple, key)
+            assert all(type(o) is StratumKey and id(o) not in own for o in fresh), triple
+            checked += 1
+    assert checked == 5004

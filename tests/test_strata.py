@@ -1,11 +1,15 @@
 """Tests for stratum classification, realizability, enumeration, regions."""
 
+import os
 import random
+import subprocess
+import sys
 import time
 from dataclasses import fields
 from fractions import Fraction
 from itertools import product
 from math import gcd
+from pathlib import Path
 
 import pytest
 
@@ -311,6 +315,19 @@ def test_search_matches_brute_force_fm_oracle():
             assert (s.alpha, s.I, s.beta, s.J) == (alpha, I, beta, J)
 
 
+@pytest.mark.parametrize("triple", [(2, 4, 3), (0, 5, 4), (4, 0, 4), (3, 5, 4), (4, 5, 5)])
+def test_search_yields_in_option_order(triple):
+    # depth-first, node by node: the focus-X option (w_p, p in I) outside and
+    # the focus-Y option (w_p, p in J) inside, each in increasing (w, on);
+    # with the brute-force test above this pins the sequence _search yields
+    def order(found):
+        alpha, I, beta, J, _ = found
+        return tuple(((a, p in I), (b, p in J)) for p, (a, b) in enumerate(zip(alpha, beta)))
+
+    keys = [order(found) for found in _search(CurveConfig(*triple))]
+    assert keys and all(x < y for x, y in zip(keys, keys[1:]))
+
+
 def _perturbations(cfg, mu, candidate, levels):
     """mu with one node moved to, just inside or just across an end of an interval.
 
@@ -393,3 +410,86 @@ def test_enumerate_matches_the_fraction_oracle_enumeration(grid):
                 assert getattr(s, f.name) == getattr(t, f.name), (triple, f.name)
             assert repr(s) == repr(t)
             assert hash(s) == hash(t)
+
+
+@pytest.mark.parametrize("triple", [(2, 4, 3), (3, 5, 4), (0, 5, 4), (3, 4, 5)])
+def test_strata_of_one_call_share_their_loci(triple):
+    # one frozenset per distinct locus per call: at most 2^delta objects,
+    # shared by the strata, their keys and the poset's keys
+    cfg = CurveConfig(*triple)
+    found = enumerate_strata(cfg)
+    loci = {id(x): x for s in found for x in (s.I, s.J)}
+    assert len(loci) <= 2 ** cfg.delta
+    assert len(loci) == len(set(loci.values()))
+    for key in build_poset(cfg, strata=found).keys:
+        assert all(x is None or id(x) in loci for x in (key.I, key.J))
+
+
+# run in a new interpreter: a cache that fills up in earlier tests of the
+# session would no longer grow here
+_STATE_SCRIPT = """
+from limitcanon import poset, strata
+from limitcanon.model import CurveConfig
+
+def size(value, depth=2):
+    if isinstance(value, dict):
+        value = list(value.values())
+    elif not isinstance(value, (list, set, frozenset, tuple)):
+        info = getattr(value, "cache_info", None)
+        return info().currsize if info else 0
+    return len(value) + (sum(size(v, depth - 1) for v in value) if depth else 0)
+
+def sizes():
+    return {(m.__name__, k): size(v) for m in (strata, poset) for k, v in vars(m).items()}
+
+before = sizes()
+for triple in [(2, 4, 3), (3, 5, 4), (0, 4, 4), (3, 4, 5)]:
+    cfg = CurveConfig(*triple)
+    poset.build_poset(cfg, strata=strata.enumerate_strata(cfg))
+after = sizes()
+print(sorted(k for k in before if before[k] != after[k]))
+"""
+
+
+def test_no_state_outlives_a_call():
+    # no module-level container or cache of strata or poset grows
+    src = str(Path(strata.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", _STATE_SCRIPT],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
+    # the search stays lazy: a cap is met long before the search is done
+    start = time.process_time()
+    with pytest.raises(CapExceeded):
+        enumerate_strata(CurveConfig(4, 5, 6), cap=10)
+    assert time.process_time() - start < 0.1
+
+
+def _loop_seconds():
+    """Process time of a fixed loop over small frozensets and a dict, the
+    kind of work enumeration does; about 0.047 s on a 2-vCPU VM."""
+    start = time.process_time()
+    seen = {}
+    for i in range(100_000):
+        key = frozenset((i % 97, i % 13))
+        seen[key] = seen.get(key, 0) + i // 7
+    return time.process_time() - start
+
+
+def test_enumerate_cpu_guard_delta5():
+    # both genera positive at delta 5.  On a 2-vCPU VM this took 0.17 s,
+    # and 0.28-0.35 s with a window test per option at every node and a
+    # new frozenset per leaf.  The VM's speed swings by up to 1.8x for
+    # minutes at a time, so the bound, 0.3 s at that VM's quiet speed,
+    # scales with the slower of the two loops timed around the
+    # enumeration; a fixed 0.25 s bound failed 3 of 8 runs there.
+    cfg = CurveConfig(4, 5, 5)
+    before = _loop_seconds()
+    start = time.process_time()
+    found = enumerate_strata(cfg)
+    spent = time.process_time() - start
+    slowdown = max(before, _loop_seconds()) / 0.047
+    assert len(found) == 3351
+    assert spent < 0.3 * slowdown
